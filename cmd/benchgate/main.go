@@ -61,14 +61,13 @@ type Report struct {
 	UntracedOverhead float64 `json:"untraced_overhead"`
 	GuestInstrPerRun uint64  `json:"guest_instr_per_run"`
 	// Checked-run pair: the same tainted guest workload with shadow
-	// checking inline (lockstep oracle) versus decoupled onto pipeline
-	// workers. TagpipeSpeedup is inline/tagpipe: >1 means decoupling
+	// checking inline (lockstep oracle) versus decoupled onto the tag
+	// pipeline. TagpipeSpeedup is inline/tagpipe: >1 means decoupling
 	// pays. These fields are absent from older baseline files — the gate
 	// on them is an absolute floor, not baseline-relative.
 	CheckedInlineNsPerOp  float64 `json:"checked_inline_ns_per_op"`
 	CheckedTagpipeNsPerOp float64 `json:"checked_tagpipe_ns_per_op"`
 	TagpipeSpeedup        float64 `json:"tagpipe_speedup"`
-	TagpipeWorkers        int     `json:"tagpipe_workers"`
 	// Pooled-server pair: benign request throughput and tail latency of
 	// warm pooled guests on the serve path (cmd/shiftd's core without
 	// HTTP transport). Gated baseline-relative with generous slack —
@@ -267,16 +266,9 @@ func main() {
 	flag.Parse()
 
 	rep := &Report{}
-	workers := runtime.NumCPU() - 1
-	if workers < 1 {
-		workers = 1
-	} else if workers > 8 {
-		workers = 8
-	}
-	rep.TagpipeWorkers = workers
 	input := []byte("benchgate tainted network input: 0123456789abcdef0123456789abcdef")
 	inlineOpt := shift.Options{Instrument: true, Oracle: true}
-	pipedOpt := shift.Options{Instrument: true, Decoupled: workers}
+	pipedOpt := shift.Options{Instrument: true, Decoupled: 1}
 	fullOpt := shift.Options{Instrument: true}
 	selStats := new(instrument.Stats)
 	selOpt := shift.Options{Instrument: true, Selective: true, InstrStats: selStats}
@@ -321,8 +313,8 @@ func main() {
 
 	fmt.Printf("benchgate: block %.0f ns/op, interp %.0f ns/op (speedup %.3fx), untraced overhead %+.2f%%\n",
 		rep.BlockNsPerOp, rep.InterpNsPerOp, rep.BlockSpeedup, 100*rep.UntracedOverhead)
-	fmt.Printf("benchgate: checked inline %.0f ns/op, decoupled (%d workers) %.0f ns/op (speedup %.3fx)\n",
-		rep.CheckedInlineNsPerOp, workers, rep.CheckedTagpipeNsPerOp, rep.TagpipeSpeedup)
+	fmt.Printf("benchgate: checked inline %.0f ns/op, decoupled %.0f ns/op (speedup %.3fx)\n",
+		rep.CheckedInlineNsPerOp, rep.CheckedTagpipeNsPerOp, rep.TagpipeSpeedup)
 	fmt.Printf("benchgate: pooled server (%d guests) %.0f req/s, p99 %.2f ms\n",
 		rep.PoolSize, rep.PooledReqPerSec, rep.PooledP99Ns/1e6)
 	fmt.Printf("benchgate: selective full %.0f ns/op, selective %.0f ns/op (speedup %.3fx, %d/%d sites skipped)\n",

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	shiftbench [-experiment all|table1|table2|table3|fig6|fig7|fig8|fig9|ablation]
-//	           [-scale-div N] [-requests N] [-workers N] [-tagpipe N] [-selective]
+//	           [-scale-div N] [-requests N] [-workers N] [-tagpipe] [-selective]
 //	           [-engine block|interp] [-cpuprofile FILE] [-memprofile FILE]
 //
 // -scale-div divides the benchmarks' reference input sizes (1 = the full
@@ -14,8 +14,8 @@
 // identical at any setting). -engine selects the execution engine (the
 // default block engine and the reference interpreter produce identical
 // results; the flag exists for performance comparison). -tagpipe moves
-// the instrumented runs' shadow checking onto N decoupled pipeline
-// workers (0 = inline; verdicts are unchanged, throughput is not).
+// the instrumented runs' shadow checking onto the decoupled tag pipeline
+// (verdicts are unchanged, throughput is not).
 // -selective applies whole-program taint-reachability analysis before
 // instrumenting, leaving statically taint-unreachable sites in their
 // original encoding (verdict-equivalent; lowers checked-run overhead).
@@ -32,7 +32,6 @@ import (
 
 	"shift/internal/bench"
 	"shift/internal/machine"
-	"shift/internal/tagpipe"
 )
 
 func main() {
@@ -40,23 +39,23 @@ func main() {
 	scaleDiv := flag.Int("scale-div", 1, "divide reference input scales by this factor")
 	requests := flag.Int("requests", 1000, "Figure 6 request count")
 	workers := flag.Int("workers", 0, "max concurrent experiment cells (0 = NumCPU, 1 = serial)")
-	tagpipeN := flag.Int("tagpipe", 0, "decoupled tag-pipeline worker count for instrumented runs (0 = inline checking)")
+	tagpipeOn := flag.Bool("tagpipe", false, "check instrumented runs with the decoupled tag pipeline instead of inline")
 	selective := flag.Bool("selective", false, "instrument only statically taint-reachable sites in instrumented runs")
 	engineName := flag.String("engine", "block", "execution engine: block or interp")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file")
 	flag.Parse()
 
+	if flag.NArg() != 0 {
+		fmt.Fprintf(os.Stderr, "shiftbench: unexpected argument %q\n", flag.Arg(0))
+		os.Exit(2)
+	}
 	if *scaleDiv < 1 {
 		fmt.Fprintln(os.Stderr, "shiftbench: -scale-div must be >= 1")
 		os.Exit(2)
 	}
-	if err := tagpipe.ValidateWorkers(*tagpipeN); err != nil {
-		fmt.Fprintln(os.Stderr, "shiftbench:", err)
-		os.Exit(2)
-	}
 	bench.Workers = *workers
-	bench.Tagpipe = *tagpipeN
+	bench.Tagpipe = *tagpipeOn
 	bench.Selective = *selective
 	engine, ok := machine.EngineFromString(*engineName)
 	if !ok {

@@ -53,8 +53,8 @@ func TestFlagValidation(t *testing.T) {
 		args []string
 		want string // substring of the usage message
 	}{
-		{[]string{"-tagpipe", "-1", "-experiment", "table1"}, "tagpipe"},
-		{[]string{"-tagpipe", "999", "-experiment", "table1"}, "tagpipe"},
+		{[]string{"-tagpipe=2", "-experiment", "table1"}, "tagpipe"},
+		{[]string{"-tagpipe", "2", "-experiment", "table1"}, "argument"},
 		{[]string{"-engine", "turbo", "-experiment", "table1"}, "engine"},
 		{[]string{"-scale-div", "0", "-experiment", "table1"}, "scale-div"},
 	}
@@ -69,14 +69,17 @@ func TestFlagValidation(t *testing.T) {
 	}
 }
 
-// A valid -tagpipe value is accepted; table1 is static, so this stays
-// fast while still walking the full flag path.
+// -tagpipe is a switch: both -tagpipe and -tagpipe=false are accepted;
+// table1 is static, so this stays fast while still walking the full flag
+// path.
 func TestTagpipeFlagAccepted(t *testing.T) {
-	code, out, errb := runCmd(t, "-tagpipe", "4", "-experiment", "table1")
-	if code != 0 {
-		t.Fatalf("exit %d\n%s", code, errb)
-	}
-	if !strings.Contains(out, "Table 1") {
-		t.Errorf("table1 output missing:\n%s", out)
+	for _, on := range []string{"-tagpipe", "-tagpipe=false"} {
+		code, out, errb := runCmd(t, on, "-experiment", "table1")
+		if code != 0 {
+			t.Fatalf("%s: exit %d\n%s", on, code, errb)
+		}
+		if !strings.Contains(out, "Table 1") {
+			t.Errorf("%s: table1 output missing:\n%s", on, out)
+		}
 	}
 }

@@ -11,11 +11,12 @@
 //	shiftd -smoke           start, verify benign/404/exploit handling, exit
 //	shiftd -sweep           run the load harness and print a throughput table
 //
-// Flags: -addr, -pool (guests), -tagpipe (decoupled shadow workers per
-// request; 0 = inline tag maintenance), -selective (instrument only
-// statically taint-reachable guest sites; the kept/skipped site counts
-// are exported as shift_selective_sites_* gauges), -sweep-requests,
-// -sweep-max (highest in-flight level, direct mode).
+// Flags: -addr, -pool (guests), -tagpipe (check each request with the
+// decoupled tag pipeline; on by default, -tagpipe=false keeps tag
+// maintenance inline), -selective (instrument only statically
+// taint-reachable guest sites; the kept/skipped site counts are exported
+// as shift_selective_sites_* gauges), -sweep-requests, -sweep-max
+// (highest in-flight level, direct mode).
 package main
 
 import (
@@ -30,7 +31,6 @@ import (
 	"syscall"
 
 	"shift/internal/instrument"
-	"shift/internal/isa"
 	"shift/internal/metrics"
 	"shift/internal/pool"
 	"shift/internal/shift"
@@ -39,20 +39,23 @@ import (
 
 // buildOptions is the server's run configuration: instrumented guest,
 // default H-policies with network+file sources, the decoupled tag
-// pipeline as the checker when workers > 0, and — when selective is
+// pipeline as the checker when tagpipe is set, and — when selective is
 // set — taint-reachability-pruned instrumentation.
-func buildOptions(tagpipe int, selective bool) shift.Options {
-	return shift.Options{
+func buildOptions(tagpipe, selective bool) shift.Options {
+	opt := shift.Options{
 		Instrument: true,
 		Policy:     workload.HTTPDConfig(),
-		Decoupled:  tagpipe,
 		Selective:  selective,
 		InstrStats: new(instrument.Stats),
 	}
+	if tagpipe {
+		opt.Decoupled = 1
+	}
+	return opt
 }
 
 // buildPool compiles the guest program and fills the warm pool.
-func buildPool(size, tagpipe int, selective bool) (*pool.Pool, error) {
+func buildPool(size int, tagpipe, selective bool) (*pool.Pool, error) {
 	opt := buildOptions(tagpipe, selective)
 	prog, err := shift.Build([]shift.Source{{Name: "httpd.mc", Text: workload.HTTPDSource}}, opt)
 	if err != nil {
@@ -61,23 +64,20 @@ func buildPool(size, tagpipe int, selective bool) (*pool.Pool, error) {
 	return pool.New(prog, size, opt)
 }
 
-// progOnly compiles the guest program (for callers that pool themselves).
-func progOnly(tagpipe int, selective bool) (*isa.Program, shift.Options, error) {
-	opt := buildOptions(tagpipe, selective)
-	prog, err := shift.Build([]shift.Source{{Name: "httpd.mc", Text: workload.HTTPDSource}}, opt)
-	return prog, opt, err
-}
-
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
 	poolSize := flag.Int("pool", 4, "warm guests in the pool")
-	tagpipe := flag.Int("tagpipe", 1, "decoupled tag-pipeline workers per request (0 = inline)")
+	tagpipe := flag.Bool("tagpipe", true, "check each request with the decoupled tag pipeline (false = inline)")
 	smoke := flag.Bool("smoke", false, "run the smoke check against a live server and exit")
 	sweep := flag.Bool("sweep", false, "run the load harness and exit")
 	sweepRequests := flag.Int("sweep-requests", 2000, "requests per sweep level")
 	sweepMax := flag.Int("sweep-max", 10000, "highest in-flight level (direct mode)")
 	selective := flag.Bool("selective", false, "instrument only statically taint-reachable guest sites")
 	flag.Parse()
+	if flag.NArg() != 0 {
+		fmt.Fprintf(os.Stderr, "shiftd: unexpected argument %q\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	if *smoke {
 		if err := runSmoke(*poolSize, *tagpipe, *selective); err != nil {
@@ -117,7 +117,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "shiftd:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("shiftd: serving on http://%s (pool=%d tagpipe=%d, metrics at /metrics)\n",
+	fmt.Printf("shiftd: serving on http://%s (pool=%d tagpipe=%v, metrics at /metrics)\n",
 		ln.Addr(), *poolSize, *tagpipe)
 
 	stop := make(chan os.Signal, 1)

@@ -18,7 +18,7 @@ import (
 // testServer builds one pooled server per test binary: pool fill means
 // instrumenting the guest once per guest, which dominates test time.
 var testServer = sync.OnceValues(func() (*server, error) {
-	p, err := buildPool(2, 1, false)
+	p, err := buildPool(2, true, false)
 	if err != nil {
 		return nil, err
 	}
@@ -177,7 +177,7 @@ func TestSelectivePoolEquivalentVerdicts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a second guest pool")
 	}
-	opt := buildOptions(1, true)
+	opt := buildOptions(true, true)
 	prog, err := shift.Build([]shift.Source{{Name: "httpd.mc", Text: workload.HTTPDSource}}, opt)
 	if err != nil {
 		t.Fatal(err)

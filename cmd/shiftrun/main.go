@@ -7,7 +7,7 @@
 //	shiftrun [-protect] [-selective] [-gran byte|word] [-enhancements] [-policy file]
 //	         [-serialized-tags] [-unsafe-preempt] [-quantum n]
 //	         [-net string] [-stdin string] [-file name=path ...]
-//	         [-arg value ...] [-counters] [-oracle] [-tagpipe n]
+//	         [-arg value ...] [-counters] [-oracle] [-tagpipe]
 //	         [-engine block|interp]
 //	         [-trace out.jsonl] [-trace-chrome out.json] [-trace-depth n]
 //	         [-metrics dest] prog.mc
@@ -28,9 +28,9 @@
 // into the simulated filesystem, -arg appends a program argument.
 // -oracle runs the lockstep reference DIFT engine alongside execution and
 // reports any divergence between the tag machinery and plain shadow
-// interpretation (exit status 4). -tagpipe N moves that shadow checking
-// off the hot loop onto N asynchronous pipeline workers that drain at
-// policy sinks — same verdicts, decoupled propagation (0 = inline).
+// interpretation (exit status 4). -tagpipe moves that shadow checking
+// off the hot loop onto an asynchronous pipeline committer that drains
+// at policy sinks — same verdicts, decoupled propagation.
 //
 // -trace records the taint-lifecycle flight recorder to a JSONL file
 // ("-" for stdout); -trace-chrome writes the same events in Chrome
@@ -63,7 +63,6 @@ import (
 	"shift/internal/metrics"
 	"shift/internal/policy"
 	"shift/internal/shift"
-	"shift/internal/tagpipe"
 	"shift/internal/taint"
 	"shift/internal/trace"
 )
@@ -85,7 +84,7 @@ func main() {
 	counters := flag.Bool("counters", false, "print cycle and instruction counters")
 	profile := flag.Bool("profile", false, "print the per-function execution profile")
 	oracleOn := flag.Bool("oracle", false, "cross-check tag state against a lockstep reference engine")
-	tagpipeN := flag.Int("tagpipe", 0, "decoupled tag-pipeline worker count (0 = inline checking)")
+	tagpipeOn := flag.Bool("tagpipe", false, "check with the decoupled tag pipeline instead of inline")
 	serialized := flag.Bool("serialized-tags", false, "serialize byte-level bitmap updates with a cmpxchg retry loop")
 	unsafePreempt := flag.Bool("unsafe-preempt", false, "allow preemption between a data store and its tag update (reproduces the paper's §4.4 hazard)")
 	quantum := flag.Uint64("quantum", 0, "scheduler time slice in cycles for threaded guests (0 = default)")
@@ -104,10 +103,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	if err := tagpipe.ValidateWorkers(*tagpipeN); err != nil {
-		fmt.Fprintln(os.Stderr, "shiftrun:", err)
-		os.Exit(2)
-	}
 	var instrStats instrument.Stats
 	opt := shift.Options{
 		Instrument:     *protect,
@@ -115,10 +110,12 @@ func main() {
 		InstrStats:     &instrStats,
 		Profile:        *profile,
 		Oracle:         *oracleOn,
-		Decoupled:      *tagpipeN,
 		SerializedTags: *serialized,
 		UnsafePreempt:  *unsafePreempt,
 		Quantum:        *quantum,
+	}
+	if *tagpipeOn {
+		opt.Decoupled = 1
 	}
 	switch *gran {
 	case "byte":
@@ -228,7 +225,7 @@ func main() {
 		fmt.Printf("oracle: %d steps, %d register checks, %d unit checks, %d sweeps\n",
 			st.Steps, st.RegChecks, st.UnitChecks, st.Sweeps)
 	}
-	if *tagpipeN > 0 && res.Pipe != nil {
+	if *tagpipeOn && res.Pipe != nil {
 		s := &res.Pipe.Stats
 		fmt.Printf("tagpipe: %d records in %d segments (%d direct), %d stalls, %d drains, %d sweeps\n",
 			s.Records.Load(), s.Segments.Load(), s.DirectSegs.Load(),

@@ -69,17 +69,22 @@ void main() {
 }
 `
 
-// An invalid -tagpipe worker count is a usage error (exit 2), not a
-// silent fallback.
+// -tagpipe is a switch: -tagpipe and -tagpipe=false both parse, and a
+// leftover worker count is a usage error (exit 2), not a silent fallback.
 func TestTagpipeFlagValidation(t *testing.T) {
 	prog := writeProg(t, tinyProg)
-	for _, bad := range []string{"-1", "257", "1000000"} {
-		code, _, errb := runCmd(t, "-tagpipe", bad, prog)
-		if code != 2 {
-			t.Errorf("-tagpipe %s: exit %d, want 2 (stderr: %s)", bad, code, errb)
+	for _, ok := range []string{"-tagpipe", "-tagpipe=false", "-tagpipe=true"} {
+		if code, _, errb := runCmd(t, ok, prog); code != 0 {
+			t.Errorf("%s: exit %d, want 0 (stderr: %s)", ok, code, errb)
 		}
-		if !strings.Contains(errb, "tagpipe") {
-			t.Errorf("-tagpipe %s: stderr lacks a usage message: %q", bad, errb)
+	}
+	for _, bad := range [][]string{{"-tagpipe=2"}, {"-tagpipe", "2"}} {
+		code, _, errb := runCmd(t, append(bad, prog)...)
+		if code != 2 {
+			t.Errorf("%v: exit %d, want 2 (stderr: %s)", bad, code, errb)
+		}
+		if errb == "" {
+			t.Errorf("%v: no usage message", bad)
 		}
 	}
 }
@@ -93,7 +98,7 @@ func TestEngineFlagValidation(t *testing.T) {
 	}
 }
 
-// -tagpipe N runs the program under the decoupled pipeline: same guest
+// -tagpipe runs the program under the decoupled pipeline: same guest
 // output and exit status as the inline run, plus a pipeline stats line.
 func TestTagpipeRunMatchesInline(t *testing.T) {
 	prog := writeProg(t, tinyProg)
@@ -103,7 +108,7 @@ func TestTagpipeRunMatchesInline(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("inline run: exit %d\n%s", code, errb)
 	}
-	code, pipedOut, errb := runCmd(t, append([]string{"-tagpipe", "3"}, common...)...)
+	code, pipedOut, errb := runCmd(t, append([]string{"-tagpipe"}, common...)...)
 	if code != 0 {
 		t.Fatalf("decoupled run: exit %d\n%s", code, errb)
 	}
@@ -124,14 +129,17 @@ func TestTagpipeRunMatchesInline(t *testing.T) {
 	}
 }
 
-// -tagpipe 0 is the documented inline default and must not print stats.
+// Inline checking is the default; -tagpipe=false keeps it and must not
+// print pipeline stats.
 func TestTagpipeZeroIsInline(t *testing.T) {
 	prog := writeProg(t, tinyProg)
-	code, out, errb := runCmd(t, "-tagpipe", "0", "-protect", "-net", "x", prog)
-	if code != 0 {
-		t.Fatalf("exit %d\n%s", code, errb)
-	}
-	if strings.Contains(out, "tagpipe:") {
-		t.Errorf("-tagpipe 0 printed pipeline stats:\n%s", out)
+	for _, args := range [][]string{{"-tagpipe=false"}, {}} {
+		code, out, errb := runCmd(t, append(args, "-protect", "-net", "x", prog)...)
+		if code != 0 {
+			t.Fatalf("%v: exit %d\n%s", args, code, errb)
+		}
+		if strings.Contains(out, "tagpipe:") {
+			t.Errorf("%v: inline run printed pipeline stats:\n%s", args, out)
+		}
 	}
 }

@@ -164,7 +164,7 @@ func (eo EvalOptions) shiftOptions() shift.Options {
 	conf.Granularity = eo.Gran
 	opt := shift.Options{Instrument: true, Policy: conf, Oracle: eo.Oracle, Selective: eo.Selective}
 	if eo.Decoupled {
-		opt.Decoupled = 2
+		opt.Decoupled = 1
 	}
 	return opt
 }

@@ -22,12 +22,12 @@ import (
 // knob exists for performance comparison and differential testing.
 var Engine machine.Engine
 
-// Tagpipe sets the decoupled tag-pipeline worker count for instrumented
-// benchmark runs (cmd/shiftbench's -tagpipe flag). Zero — the default —
-// keeps checking inline; N > 0 moves shadow propagation onto N
-// asynchronous workers draining at sinks, which changes throughput but
-// not verdicts (see DESIGN.md "Decoupled tag pipeline").
-var Tagpipe int
+// Tagpipe runs instrumented benchmark runs under the decoupled tag
+// pipeline (cmd/shiftbench's -tagpipe flag). False — the default — keeps
+// checking inline; true moves shadow propagation onto an asynchronous
+// committer draining at sinks, which changes throughput but not verdicts
+// (see DESIGN.md "Decoupled tag pipeline").
+var Tagpipe bool
 
 // Selective makes every instrumented benchmark run use selective
 // instrumentation (cmd/shiftbench's -selective flag): the whole-program
@@ -100,7 +100,9 @@ func RunBenchmark(b *workload.Benchmark, scale int, cfg *Config) (*Measurement, 
 	}
 	opt.Engine = Engine
 	if opt.Instrument {
-		opt.Decoupled = Tagpipe
+		if Tagpipe {
+			opt.Decoupled = 1
+		}
 		opt.Selective = Selective
 	}
 	res, err := shift.BuildAndRun(

@@ -26,7 +26,7 @@ func TestTagpipeWiring(t *testing.T) {
 	}
 
 	prev := Tagpipe
-	Tagpipe = 2
+	Tagpipe = true
 	defer func() { Tagpipe = prev }()
 	piped, err := RunBenchmark(b, scale, &cfg)
 	if err != nil {

@@ -149,11 +149,16 @@ func (p *Pool) Release(g *Guest) {
 // recycle rewinds a guest to the pool snapshot. The tag clear runs
 // first: it is the security-critical step (no request may inherit
 // another's taint) and must not depend on the dirty set being complete;
-// the dirty-page restore then rewinds data, heap and stack content; the
-// register overlay resets architectural state and per-run identity.
+// the policy engine then forgets the request's alerts (nil, not [:0], so
+// no violation a caller still holds shares a reused backing array); the
+// dirty-page restore rewinds data, heap and stack content; the register
+// overlay resets architectural state and per-run identity.
 func (p *Pool) recycle(g *Guest) {
 	if g.tags != nil {
 		p.clearedPages.Add(uint64(g.tags.Clear()))
+	}
+	if g.engine != nil {
+		g.engine.Alerts = nil
 	}
 	p.restoredPages.Add(uint64(g.mach.Mem.Restore(p.snap)))
 	g.mach.RestoreRegs(p.regs)

@@ -118,6 +118,29 @@ func TestPoolDetectsExploitAndRecovers(t *testing.T) {
 	}
 }
 
+// The policy engine is reused across requests, so recycling must drop
+// its alert log: a long-lived server would otherwise keep every
+// violation it ever detected. Each exploit's own Result still carries
+// its alert.
+func TestPoolRecycleDropsAlerts(t *testing.T) {
+	p := newHTTPDPool(t, 1)
+	for i := 0; i < 3; i++ {
+		res, err := p.Run(requestWorld("../../etc/passwd"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Alert == nil || res.Alert.Violation == nil {
+			t.Fatalf("request %d: traversal exploit not detected", i)
+		}
+		g := <-p.free // the released guest, without another recycle
+		n := len(g.engine.Alerts)
+		p.free <- g
+		if n != 0 {
+			t.Fatalf("request %d: recycled engine still holds %d alerts", i, n)
+		}
+	}
+}
+
 // Concurrent requests across pool guests must be isolated: every
 // response matches the single-guest reference byte for byte.
 func TestPoolConcurrentRequestsIsolated(t *testing.T) {

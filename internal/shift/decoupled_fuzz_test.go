@@ -7,7 +7,7 @@ import (
 )
 
 // FuzzDecoupledLockstep explores (program seed, tainted input,
-// granularity, worker count, lag-window size) with BOTH checkers live in
+// granularity, lag-window size) with BOTH checkers live in
 // one run: the inline oracle cross-checks every retired instruction
 // while the decoupled pipeline re-propagates the same stream
 // asynchronously and re-checks at sinks. Tiny windows (down to one
@@ -16,10 +16,10 @@ import (
 // the taint semantics. Any trap, alert, or divergence from either
 // checker is a finding.
 func FuzzDecoupledLockstep(f *testing.F) {
-	f.Add(int64(1), []byte("tainted input bytes"), false, uint8(2), uint8(0))
-	f.Add(int64(7), []byte{0xff, 0x00, 0x80, 0x7f}, true, uint8(4), uint8(1))
-	f.Add(int64(42), []byte("0123456789abcdef0123456789abcdef"), false, uint8(1), uint8(9))
-	f.Fuzz(func(t *testing.T, seed int64, input []byte, word bool, workers, window uint8) {
+	f.Add(int64(1), []byte("tainted input bytes"), false, uint8(0))
+	f.Add(int64(7), []byte{0xff, 0x00, 0x80, 0x7f}, true, uint8(1))
+	f.Add(int64(42), []byte("0123456789abcdef0123456789abcdef"), false, uint8(9))
+	f.Fuzz(func(t *testing.T, seed int64, input []byte, word bool, window uint8) {
 		if len(input) == 0 {
 			input = []byte{1}
 		}
@@ -37,7 +37,7 @@ func FuzzDecoupledLockstep(f *testing.F) {
 			Instrument:      true,
 			Granularity:     g,
 			Oracle:          true,
-			Decoupled:       1 + int(workers)%4,
+			Decoupled:       1,
 			DecoupledWindow: 1 + int(window)%64,
 		})
 		if err != nil {

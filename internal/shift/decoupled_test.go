@@ -7,7 +7,7 @@ package shift_test
 // accounting, machine state, and the taint bitmap. Verdict equivalence
 // is the pipeline's acceptance criterion (DESIGN.md "Decoupled tag
 // pipeline"); the -race CI stage runs this file too, covering the
-// producer/worker/committer handoffs.
+// producer/committer handoffs.
 
 import (
 	"fmt"
@@ -22,7 +22,7 @@ import (
 // inlineVsDecoupled runs the same build under the inline oracle and
 // under the decoupled pipeline with fresh worlds.
 func inlineVsDecoupled(t *testing.T, label string, sources []shift.Source,
-	world func() *shift.World, opt shift.Options, workers int) (*shift.Result, *shift.Result) {
+	world func() *shift.World, opt shift.Options) (*shift.Result, *shift.Result) {
 	t.Helper()
 	prog, err := shift.Build(sources, opt)
 	if err != nil {
@@ -33,7 +33,7 @@ func inlineVsDecoupled(t *testing.T, label string, sources []shift.Source,
 	if err != nil {
 		t.Fatalf("%s: inline-oracle run: %v", label, err)
 	}
-	opt.Oracle, opt.Decoupled = false, workers
+	opt.Oracle, opt.Decoupled = false, 1
 	got, err := shift.Run(prog, world(), opt)
 	if err != nil {
 		t.Fatalf("%s: decoupled run: %v", label, err)
@@ -48,9 +48,7 @@ func inlineVsDecoupled(t *testing.T, label string, sources []shift.Source,
 }
 
 // TestDecoupledWorkloads sweeps the Figure 7 benchmarks: inline and
-// decoupled verdicts and observables must agree in every mode, at one
-// and several workers (one worker is the raw-record reference path, more
-// engage the symbolic summaries).
+// decoupled verdicts and observables must agree in every mode.
 func TestDecoupledWorkloads(t *testing.T) {
 	modes := []struct {
 		name string
@@ -81,23 +79,17 @@ func TestDecoupledWorkloads(t *testing.T) {
 			if sc < 64 {
 				sc = 64
 			}
-			workers := []int{1, 3}
-			if testing.Short() {
-				workers = workers[1:]
-			}
 			for _, m := range modes {
-				for _, n := range workers {
-					sources := []shift.Source{{Name: b.Name + ".mc", Text: b.Source}}
-					label := fmt.Sprintf("%s/%s/w=%d", b.Name, m.name, n)
-					ref, got := inlineVsDecoupled(t, label, sources,
-						func() *shift.World { return b.World(sc) }, m.opt(b), n)
-					if ref.Trap != nil || ref.Alert != nil {
-						t.Fatalf("%s: benchmark not clean: trap=%v alert=%v", label, ref.Trap, ref.Alert)
-					}
-					compareResults(t, label, ref, got)
-					if m.name != "base" && got.Pipe.Stats.Sweeps.Load() == 0 {
-						t.Errorf("%s: no sink sweeps ran in an instrumented run", label)
-					}
+				sources := []shift.Source{{Name: b.Name + ".mc", Text: b.Source}}
+				label := b.Name + "/" + m.name
+				ref, got := inlineVsDecoupled(t, label, sources,
+					func() *shift.World { return b.World(sc) }, m.opt(b))
+				if ref.Trap != nil || ref.Alert != nil {
+					t.Fatalf("%s: benchmark not clean: trap=%v alert=%v", label, ref.Trap, ref.Alert)
+				}
+				compareResults(t, label, ref, got)
+				if m.name != "base" && got.Pipe.Stats.Sweeps.Load() == 0 {
+					t.Errorf("%s: no sink sweeps ran in an instrumented run", label)
 				}
 			}
 		})
@@ -121,10 +113,10 @@ func TestDecoupledAttacks(t *testing.T) {
 				opt := shift.Options{Instrument: true, Policy: conf}
 				sources := []shift.Source{{Name: a.Program, Text: a.Source}}
 
-				ref, got := inlineVsDecoupled(t, "benign", sources, a.Benign, opt, 2)
+				ref, got := inlineVsDecoupled(t, "benign", sources, a.Benign, opt)
 				compareResults(t, fmt.Sprintf("%s/benign/%v", a.Program, gran), ref, got)
 
-				ref, got = inlineVsDecoupled(t, "exploit", sources, a.Exploit, opt, 2)
+				ref, got = inlineVsDecoupled(t, "exploit", sources, a.Exploit, opt)
 				compareResults(t, fmt.Sprintf("%s/exploit/%v", a.Program, gran), ref, got)
 				if ref.Alert == nil && a.Expect != "" {
 					t.Errorf("%v: exploit raised no alert (expected %s)", gran, a.Expect)
@@ -176,7 +168,7 @@ void main() {
 			label := fmt.Sprintf("q=%d/instrument=%v", quantum, instrument)
 			opt := shift.Options{Instrument: instrument, Quantum: quantum}
 			sources := []shift.Source{{Name: "threads.mc", Text: src}}
-			ref, got := inlineVsDecoupled(t, label, sources, shift.NewWorld, opt, 2)
+			ref, got := inlineVsDecoupled(t, label, sources, shift.NewWorld, opt)
 			if ref.Trap != nil || ref.ExitStatus != 0 {
 				t.Fatalf("%s: inline run not clean: trap=%v exit=%d", label, ref.Trap, ref.ExitStatus)
 			}
@@ -187,7 +179,7 @@ void main() {
 	// first spawn; the runs must still agree on all observables.
 	opt := shift.Options{Instrument: true, Quantum: 7, UnsafePreempt: true}
 	sources := []shift.Source{{Name: "threads.mc", Text: src}}
-	ref, got := inlineVsDecoupled(t, "unsafe-preempt", sources, shift.NewWorld, opt, 2)
+	ref, got := inlineVsDecoupled(t, "unsafe-preempt", sources, shift.NewWorld, opt)
 	compareResults(t, "unsafe-preempt", ref, got)
 }
 
@@ -213,7 +205,7 @@ func TestDecoupledComposesWithOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.Decoupled = 2
+	opt.Decoupled = 1
 	got, err := shift.Run(prog, b.World(sc), opt)
 	if err != nil {
 		t.Fatal(err)

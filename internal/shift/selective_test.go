@@ -130,7 +130,7 @@ func fullVsSelective(t *testing.T, label string, sources []shift.Source,
 	}
 	compareVerdicts(t, label+"/oracle", ref, gotO)
 
-	opt.Oracle, opt.Decoupled = false, 2
+	opt.Oracle, opt.Decoupled = false, 1
 	gotP, err := shift.Run(sel, world(), opt)
 	if err != nil {
 		t.Fatalf("%s: selective tagpipe run: %v", label, err)

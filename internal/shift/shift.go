@@ -86,10 +86,9 @@ type Options struct {
 	// shadow-taint interpretation. A disagreement stops the run with a
 	// TrapOracle carrying a full divergence report (Result.Trap).
 	Oracle bool
-	// Decoupled, when > 0, runs the decoupled tag pipeline with that many
-	// shadow-propagation workers: tag state is maintained asynchronously
-	// over a retirement log and every policy sink drains the log before
-	// its verdict. Verdicts are equivalent to the inline oracle's; the
+	// Decoupled, when non-zero, enables the decoupled tag pipeline: tag
+	// state is maintained asynchronously over a retirement log and every
+	// policy sink drains the log before its verdict. Verdicts are equivalent to the inline oracle's; the
 	// strong cross-checks run at sink granularity instead of at every
 	// original-instruction boundary (see DESIGN.md "Decoupled tag
 	// pipeline"). Composable with Oracle for differential testing.
@@ -321,12 +320,11 @@ func RunOn(mach *machine.Machine, world *World, opt Options) (*Result, error) {
 	// requested the oracle hooks first, keeping its at-the-instruction
 	// abort semantics; the pipeline then sees exactly the same stream.
 	var pipe *tagpipe.Pipeline
-	if opt.Decoupled > 0 {
+	if opt.Decoupled != 0 {
 		pipe = tagpipe.New(tagpipe.Config{
 			Tags:          world.Tags,
 			Instrumented:  opt.Instrument,
 			UnsafePreempt: opt.UnsafePreempt,
-			Workers:       opt.Decoupled,
 			SegRecords:    opt.DecoupledWindow,
 		})
 		defer pipe.Close()

@@ -72,13 +72,8 @@ type rec struct {
 	addr  uint64
 }
 
-// segment is one ring slot: a batch of records stamped with a commit
-// sequence number. Segments cycle producer → worker → committer → free.
+// segment is one ring slot: a batch of records. Segments cycle free →
+// producer → committer → free.
 type segment struct {
-	seq  uint64
 	recs []rec
-	// sum is the worker's symbolic summary; nil means the committer
-	// applies the raw records in order (the reference path, used for
-	// single-worker pipelines and for segments whose summary overflowed).
-	sum *summary
 }

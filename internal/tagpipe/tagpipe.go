@@ -6,12 +6,11 @@
 // The execution engine (producer) emits one compact record per retired
 // instruction — the instruction's taint-transfer function plus the
 // pre-state the lockstep oracle would have captured — into a bounded
-// ring of segments. N workers turn segments into symbolic transfer-
-// function summaries in parallel; a single committer composes the
-// summaries onto the committed shadow state in retirement order.
-// Policy-relevant sinks (syscalls, chk.s recoveries, host effects on
-// guest memory) are synchronization points: the producer drains the
-// ring, so every verdict is rendered against fully propagated state.
+// ring of segments. A single committer goroutine applies the records to
+// the committed shadow state in retirement order. Policy-relevant sinks
+// (syscalls, chk.s recoveries, host effects on guest memory) are
+// synchronization points: the producer drains the ring, so every
+// verdict is rendered against fully propagated state.
 //
 // The lag between execution and propagation is bounded by the ring:
 // Segments × SegRecords records. Within that window the mechanical NaT
@@ -24,7 +23,6 @@
 package tagpipe
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -32,21 +30,6 @@ import (
 	"shift/internal/oracle"
 	"shift/internal/taint"
 )
-
-// MaxWorkers bounds Config.Workers and the CLI -tagpipe flag. Worker
-// goroutines beyond the host's core count only add scheduling overhead;
-// the cap exists to turn a typo'd worker count into a usage error
-// rather than a thousand idle goroutines.
-const MaxWorkers = 256
-
-// ValidateWorkers checks a -tagpipe style worker count: 0 keeps
-// checking inline (no pipeline), 1..MaxWorkers enable the pipeline.
-func ValidateWorkers(n int) error {
-	if n < 0 || n > MaxWorkers {
-		return fmt.Errorf("invalid tagpipe worker count %d (want 0..%d; 0 = inline)", n, MaxWorkers)
-	}
-	return nil
-}
 
 // Config selects what the pipeline tracks and how it is provisioned.
 // The first three fields mirror oracle.Config — the pipeline renders the
@@ -60,10 +43,6 @@ type Config struct {
 	// UnsafePreempt mirrors machine.Machine.UnsafePreempt: the strong
 	// checks stand down once a second thread spawns.
 	UnsafePreempt bool
-	// Workers is the number of summarization workers (min 1). With one
-	// worker every segment takes the direct path — raw records applied in
-	// order — which is the reference behaviour the symbolic path must match.
-	Workers int
 	// SegRecords is the record capacity of one ring segment (default 256).
 	SegRecords int
 	// Segments is the ring depth in segments (default 64). The lag window
@@ -73,14 +52,13 @@ type Config struct {
 }
 
 // Stats are the pipeline's own counters, all safe for concurrent access:
-// the producer, workers and committer update them from their own
-// goroutines.
+// the producer and the committer update them from their own goroutines.
 type Stats struct {
 	Records    atomic.Uint64 // retirement-log records emitted
 	Segments   atomic.Uint64 // segments submitted
 	Stalls     atomic.Uint64 // producer waits for a free segment
 	Drains     atomic.Uint64 // sink synchronizations
-	DirectSegs atomic.Uint64 // segments applied record-by-record (no summary)
+	DirectSegs atomic.Uint64 // segments applied record-by-record (every applied segment)
 	RegChecks  atomic.Uint64 // register boundary comparisons at sinks
 	UnitChecks atomic.Uint64 // bitmap unit comparisons at sinks
 	Sweeps     atomic.Uint64 // syscall/final bitmap sweeps
@@ -105,36 +83,33 @@ type Pipeline struct {
 	r8       int64
 	r8NaT    bool
 
-	cur     *segment // partial segment being filled
-	nextSeq uint64   // stamp for the next submitted segment
-	lastSeq uint64   // last submitted seq (drain target)
+	cur       *segment // partial segment being filled
+	submitted uint64   // segments submitted so far (drain target)
 
 	free chan *segment // recycled segments, capacity = ring depth
-	work chan *segment // producer → workers
-	out  chan *segment // workers → committer (reordered there)
+	// work carries full segments to the committer in retirement order.
+	// Its capacity is also the ring depth, so a submit never blocks: the
+	// producer already holds one of the ring's segments.
+	work chan *segment
 
-	mu         sync.Mutex
-	cond       *sync.Cond
-	appliedSeq uint64
-	failure    *oracle.Divergence
-	failed     atomic.Bool
+	mu      sync.Mutex
+	cond    *sync.Cond
+	applied uint64 // segments applied (or skipped, after a failure)
+	failure *oracle.Divergence
+	failed  atomic.Bool
 
 	producedRecs atomic.Uint64
 	appliedRecs  atomic.Uint64
 
-	workerWG      sync.WaitGroup
 	committerDone chan struct{}
 	closed        bool
 
 	Stats Stats
 }
 
-// New builds and starts a pipeline: Workers summarizers plus one
-// committer. Close must be called to stop them.
+// New builds and starts a pipeline and its committer goroutine. Close
+// must be called to stop it.
 func New(cfg Config) *Pipeline {
-	if cfg.Workers < 1 {
-		cfg.Workers = 1
-	}
 	if cfg.SegRecords <= 0 {
 		cfg.SegRecords = 256
 	}
@@ -146,16 +121,11 @@ func New(cfg Config) *Pipeline {
 		st:            newState(cfg),
 		free:          make(chan *segment, cfg.Segments),
 		work:          make(chan *segment, cfg.Segments),
-		out:           make(chan *segment, cfg.Segments),
 		committerDone: make(chan struct{}),
 	}
 	p.cond = sync.NewCond(&p.mu)
 	for i := 0; i < cfg.Segments; i++ {
 		p.free <- &segment{recs: make([]rec, 0, cfg.SegRecords)}
-	}
-	p.workerWG.Add(cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
-		go p.worker()
 	}
 	go p.committer()
 	return p
@@ -182,9 +152,9 @@ func (p *Pipeline) Lag() uint64 {
 	return pr - ap
 }
 
-// Close stops the workers and committer, applying everything already
-// submitted. Records still in the partial producer segment are submitted
-// first so counters reconcile. Idempotent; producer-goroutine only.
+// Close stops the committer, applying everything already submitted.
+// Records still in the partial producer segment are submitted first so
+// counters reconcile. Idempotent; producer-goroutine only.
 func (p *Pipeline) Close() {
 	if p.closed {
 		return
@@ -192,8 +162,6 @@ func (p *Pipeline) Close() {
 	p.closed = true
 	p.flushSeg()
 	close(p.work)
-	p.workerWG.Wait()
-	close(p.out)
 	<-p.committerDone
 }
 
@@ -245,9 +213,7 @@ func (p *Pipeline) flushSeg() {
 	if p.cur == nil || len(p.cur.recs) == 0 {
 		return
 	}
-	p.nextSeq++
-	p.cur.seq = p.nextSeq
-	p.lastSeq = p.nextSeq
+	p.submitted++
 	n := uint64(len(p.cur.recs))
 	p.producedRecs.Add(n)
 	p.Stats.Records.Add(n)
@@ -264,9 +230,9 @@ func (p *Pipeline) flushSeg() {
 func (p *Pipeline) drain() {
 	p.Stats.Drains.Add(1)
 	p.flushSeg()
-	target := p.lastSeq
+	target := p.submitted
 	p.mu.Lock()
-	for p.appliedSeq < target {
+	for p.applied < target {
 		p.cond.Wait()
 	}
 	p.mu.Unlock()
@@ -302,67 +268,36 @@ func (p *Pipeline) latchErr(m *machine.Machine, d *oracle.Divergence) error {
 	return d
 }
 
-// worker summarizes segments. With a single worker (or after a failure)
-// segments pass through untouched and the committer applies raw records.
-func (p *Pipeline) worker() {
-	defer p.workerWG.Done()
-	for seg := range p.work {
-		if p.cfg.Workers > 1 && !p.failed.Load() {
-			if sum, ok := summarize(seg, p.st.unit); ok {
-				seg.sum = sum
-			}
-		}
-		p.out <- seg
-	}
-}
-
-// committer reorders segments by sequence number and applies them. After
-// a failure it keeps recycling segments (skipping the apply) so the
+// committer applies segments in submission (retirement) order. After a
+// failure it keeps recycling segments (skipping the apply) so the
 // producer's drains and stalls always terminate.
 func (p *Pipeline) committer() {
 	defer close(p.committerDone)
-	pending := make(map[uint64]*segment)
-	next := uint64(1)
-	for seg := range p.out {
-		pending[seg.seq] = seg
-		for {
-			s, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			p.commit(s)
-			next++
-		}
+	for seg := range p.work {
+		p.commit(seg)
 	}
 }
 
-// commit applies one segment in retirement order, publishes the applied
-// sequence number, and recycles the segment.
+// commit applies one segment's records in order, publishes the applied
+// count, and recycles the segment.
 func (p *Pipeline) commit(seg *segment) {
 	var d *oracle.Divergence
 	if !p.failed.Load() {
-		if seg.sum != nil {
-			d = p.st.applySummary(seg.sum)
-		} else {
-			p.Stats.DirectSegs.Add(1)
-			for i := range seg.recs {
-				if d = p.st.applyRec(&seg.recs[i]); d != nil {
-					break
-				}
+		p.Stats.DirectSegs.Add(1)
+		for i := range seg.recs {
+			if d = p.st.applyRec(&seg.recs[i]); d != nil {
+				break
 			}
 		}
 	}
 	p.appliedRecs.Add(uint64(len(seg.recs)))
-	seq := seg.seq
-	seg.sum = nil
 	seg.recs = seg.recs[:0]
 	p.mu.Lock()
 	if d != nil && p.failure == nil {
 		p.failure = d
 		p.failed.Store(true)
 	}
-	p.appliedSeq = seq
+	p.applied++
 	p.cond.Broadcast()
 	p.mu.Unlock()
 	p.free <- seg

@@ -2,6 +2,7 @@ package tagpipe
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
 	"shift/internal/isa"
@@ -37,8 +38,8 @@ func stepAll(m *machine.Machine, n int) *machine.Trap {
 
 var dataAddr = mem.Addr(2, 0x100)
 
-// A clean round trip must finish divergence-free at every worker count,
-// and the retirement log must have actually flowed.
+// A clean round trip must finish divergence-free, and the retirement log
+// must have actually flowed.
 func TestPipelineCleanRun(t *testing.T) {
 	text := []isa.Instruction{
 		{Op: isa.OpMovl, Dest: 1, Imm: int64(dataAddr)},
@@ -47,24 +48,22 @@ func TestPipelineCleanRun(t *testing.T) {
 		{Op: isa.OpLd, Dest: 3, Src1: 1, Size: 8},
 		{Op: isa.OpAdd, Dest: 4, Src1: 2, Src2: 3},
 	}
-	for _, workers := range []int{1, 4} {
-		for _, instrumented := range []bool{false, true} {
-			m, tags := buildMachine(t, text, taint.Byte)
-			p := New(Config{Tags: tags, Instrumented: instrumented, Workers: workers})
-			p.Attach(m)
-			if trap := stepAll(m, len(text)); trap != nil {
-				t.Fatalf("workers=%d instrumented=%v: %v", workers, instrumented, trap)
-			}
-			if err := p.Finish(m); err != nil {
-				t.Fatalf("workers=%d instrumented=%v: Finish: %v", workers, instrumented, err)
-			}
-			p.Close()
-			if got := p.Stats.Records.Load(); got != uint64(len(text)) {
-				t.Errorf("workers=%d: %d records, want %d", workers, got, len(text))
-			}
-			if p.Lag() != 0 {
-				t.Errorf("workers=%d: lag %d after Finish, want 0", workers, p.Lag())
-			}
+	for _, instrumented := range []bool{false, true} {
+		m, tags := buildMachine(t, text, taint.Byte)
+		p := New(Config{Tags: tags, Instrumented: instrumented})
+		p.Attach(m)
+		if trap := stepAll(m, len(text)); trap != nil {
+			t.Fatalf("instrumented=%v: %v", instrumented, trap)
+		}
+		if err := p.Finish(m); err != nil {
+			t.Fatalf("instrumented=%v: Finish: %v", instrumented, err)
+		}
+		p.Close()
+		if got := p.Stats.Records.Load(); got != uint64(len(text)) {
+			t.Errorf("instrumented=%v: %d records, want %d", instrumented, got, len(text))
+		}
+		if p.Lag() != 0 {
+			t.Errorf("instrumented=%v: lag %d after Finish, want 0", instrumented, p.Lag())
 		}
 	}
 }
@@ -80,28 +79,26 @@ func TestPipelineCatchesStaleBitmap(t *testing.T) {
 		{Op: isa.OpAdd, Dest: 4, Src1: 2, Src2: 2},
 	}
 	for _, g := range []taint.Granularity{taint.Byte, taint.Word} {
-		for _, workers := range []int{1, 4} {
-			m, tags := buildMachine(t, text, g)
-			if err := tags.SetRange(dataAddr, 8); err != nil { // seeded bug: stale taint
-				t.Fatal(err)
-			}
-			p := New(Config{Tags: tags, Instrumented: true, Workers: workers})
-			p.Attach(m)
-			if trap := stepAll(m, len(text)); trap != nil {
-				t.Fatalf("gran=%v workers=%d: unexpected trap %v", g, workers, trap)
-			}
-			err := p.Finish(m)
-			p.Close()
-			var d *oracle.Divergence
-			if !errors.As(err, &d) || d.Kind != oracle.DivBitmap {
-				t.Fatalf("gran=%v workers=%d: Finish = %v, want DivBitmap", g, workers, err)
-			}
-			if !d.Machine || d.Shadow {
-				t.Errorf("gran=%v workers=%d: machine=%v shadow=%v, want true/false", g, workers, d.Machine, d.Shadow)
-			}
-			if p.Divergence() == nil {
-				t.Errorf("gran=%v workers=%d: Divergence() not latched", g, workers)
-			}
+		m, tags := buildMachine(t, text, g)
+		if err := tags.SetRange(dataAddr, 8); err != nil { // seeded bug: stale taint
+			t.Fatal(err)
+		}
+		p := New(Config{Tags: tags, Instrumented: true})
+		p.Attach(m)
+		if trap := stepAll(m, len(text)); trap != nil {
+			t.Fatalf("gran=%v: unexpected trap %v", g, trap)
+		}
+		err := p.Finish(m)
+		p.Close()
+		var d *oracle.Divergence
+		if !errors.As(err, &d) || d.Kind != oracle.DivBitmap {
+			t.Fatalf("gran=%v: Finish = %v, want DivBitmap", g, err)
+		}
+		if !d.Machine || d.Shadow {
+			t.Errorf("gran=%v: machine=%v shadow=%v, want true/false", g, d.Machine, d.Shadow)
+		}
+		if p.Divergence() == nil {
+			t.Errorf("gran=%v: Divergence() not latched", g)
 		}
 	}
 }
@@ -114,7 +111,7 @@ func TestPipelineCatchesPhantomNaT(t *testing.T) {
 		{Op: isa.OpAddi, Dest: 2, Src1: 1, Imm: 1},
 	}
 	m, tags := buildMachine(t, text, taint.Byte)
-	p := New(Config{Tags: tags, Instrumented: true, Workers: 2})
+	p := New(Config{Tags: tags, Instrumented: true})
 	p.Attach(m)
 	if trap := m.Step(); trap != nil {
 		t.Fatal(trap)
@@ -140,26 +137,24 @@ func TestPipelineCatchesDroppedTaint(t *testing.T) {
 		{Op: isa.OpAddi, Dest: 3, Src1: 2, Imm: 1},
 		{Op: isa.OpNop},
 	}
-	for _, workers := range []int{1, 3} {
-		m, tags := buildMachine(t, text, taint.Byte)
-		if err := tags.SetRange(dataAddr, 8); err != nil {
-			t.Fatal(err)
-		}
-		p := New(Config{Tags: tags, Instrumented: true, Workers: workers})
-		p.Attach(m)
-		p.HostTaint(dataAddr, 8) // the OS says the source is real
-		if trap := stepAll(m, len(text)); trap != nil {
-			t.Fatalf("workers=%d: unexpected trap %v", workers, trap)
-		}
-		err := p.Finish(m)
-		p.Close()
-		var d *oracle.Divergence
-		if !errors.As(err, &d) || d.Kind != oracle.DivRegister {
-			t.Fatalf("workers=%d: Finish = %v, want DivRegister", workers, err)
-		}
-		if d.Machine || !d.Shadow {
-			t.Errorf("workers=%d: machine=%v shadow=%v, want false/true", workers, d.Machine, d.Shadow)
-		}
+	m, tags := buildMachine(t, text, taint.Byte)
+	if err := tags.SetRange(dataAddr, 8); err != nil {
+		t.Fatal(err)
+	}
+	p := New(Config{Tags: tags, Instrumented: true})
+	p.Attach(m)
+	p.HostTaint(dataAddr, 8) // the OS says the source is real
+	if trap := stepAll(m, len(text)); trap != nil {
+		t.Fatalf("unexpected trap %v", trap)
+	}
+	err := p.Finish(m)
+	p.Close()
+	var d *oracle.Divergence
+	if !errors.As(err, &d) || d.Kind != oracle.DivRegister {
+		t.Fatalf("Finish = %v, want DivRegister", err)
+	}
+	if d.Machine || !d.Shadow {
+		t.Errorf("machine=%v shadow=%v, want false/true", d.Machine, d.Shadow)
 	}
 }
 
@@ -167,21 +162,19 @@ func TestPipelineCatchesDroppedTaint(t *testing.T) {
 // the log is detected by the consumer without waiting for a sink, and the
 // producer surfaces it on the next retirement.
 func TestPipelineNaTRulePerRecord(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		p := New(Config{Workers: workers, SegRecords: 1}) // submit every record
-		p.emit(rec{kind: rLoad, op: isa.OpLd, dest: 5, size: 8, flags: fNatAfter, pc: 7})
-		p.drain()
-		d := p.Divergence()
-		p.Close()
-		if d == nil || d.Kind != oracle.DivNaTRule || d.Reg != 5 || d.PC != 7 {
-			t.Fatalf("workers=%d: divergence = %+v, want DivNaTRule on r5@pc7", workers, d)
-		}
+	p := New(Config{SegRecords: 1}) // submit every record
+	p.emit(rec{kind: rLoad, op: isa.OpLd, dest: 5, size: 8, flags: fNatAfter, pc: 7})
+	p.drain()
+	d := p.Divergence()
+	p.Close()
+	if d == nil || d.Kind != oracle.DivNaTRule || d.Reg != 5 || d.PC != 7 {
+		t.Fatalf("divergence = %+v, want DivNaTRule on r5@pc7", d)
 	}
 }
 
 // Host-effect notifications steer the committed shadow synchronously.
 func TestPipelineHostEffects(t *testing.T) {
-	p := New(Config{Workers: 2})
+	p := New(Config{})
 	defer p.Close()
 	p.HostTaint(dataAddr, 4)
 	if !p.st.loadTaint(dataAddr, 4) {
@@ -200,7 +193,7 @@ func TestPipelineHostEffects(t *testing.T) {
 
 // Spawn inheritance and the UnsafePreempt stand-down mirror the oracle.
 func TestPipelineSpawn(t *testing.T) {
-	p := New(Config{Instrumented: true, Tags: nil, Workers: 1})
+	p := New(Config{Instrumented: true, Tags: nil})
 	p.st.checking = true // force: Tags==nil would disable
 	p.st.regs(0).taint[isa.RegArg0+1] = true
 	p.OnSpawn(0, 1)
@@ -212,7 +205,7 @@ func TestPipelineSpawn(t *testing.T) {
 	}
 	p.Close()
 
-	u := New(Config{Instrumented: true, UnsafePreempt: true, Workers: 1})
+	u := New(Config{Instrumented: true, UnsafePreempt: true})
 	u.st.checking = true
 	u.st.regs(0).taint[isa.RegArg0+1] = true
 	u.OnSpawn(0, 1)
@@ -228,8 +221,8 @@ func TestPipelineSpawn(t *testing.T) {
 // A tiny ring forces the producer through the recycle path: counters
 // reconcile and the state after a drain equals a never-stalled run's.
 func TestPipelineTinyRing(t *testing.T) {
-	big := New(Config{Workers: 1})
-	tiny := New(Config{Workers: 3, Segments: 2, SegRecords: 2})
+	big := New(Config{})
+	tiny := New(Config{Segments: 2, SegRecords: 2})
 	recs := makeRandomRecs(300, 99)
 	for i := range recs {
 		big.emit(recs[i])
@@ -252,6 +245,77 @@ func TestPipelineTinyRing(t *testing.T) {
 	}
 	big.Close()
 	tiny.Close()
+}
+
+// makeRandomRecs builds a producer-faithful random record stream: the
+// field combinations are the ones hook.go can actually emit (fNatAfter
+// only on dest-writing kinds, fDeferred only on rLoadSpec, addresses
+// drawn from a small pool so records overlap heavily).
+func makeRandomRecs(n int, seed int64) []rec {
+	rng := rand.New(rand.NewSource(seed))
+	addrs := []uint64{0x100, 0x104, 0x108, 0x110, 0x118, 0x120}
+	sizes := []uint8{1, 2, 4, 8}
+	ops := []isa.Opcode{isa.OpAdd, isa.OpMov, isa.OpMovl, isa.OpLd, isa.OpLdS,
+		isa.OpLdFill, isa.OpSt, isa.OpCmpxchg, isa.OpMovToCcv, isa.OpMovFromCcv, isa.OpSetNat}
+	recs := make([]rec, 0, n)
+	for i := 0; i < n; i++ {
+		r := rec{
+			op:   ops[rng.Intn(len(ops))],
+			dest: uint8(rng.Intn(14)),
+			s1:   uint8(rng.Intn(14)),
+			s2:   uint8(rng.Intn(14)),
+			size: sizes[rng.Intn(len(sizes))],
+			tid:  int32(rng.Intn(3)),
+			pc:   int32(i),
+			addr: addrs[rng.Intn(len(addrs))],
+		}
+		switch rng.Intn(10) {
+		case 0:
+			r.kind = rClear
+		case 1:
+			r.kind = rCopy
+		case 2:
+			r.kind = rLoad
+		case 3:
+			r.kind = rLoadSpec
+			if rng.Intn(2) == 0 {
+				r.flags |= fDeferred
+				r.flags |= fNatAfter // the legal deferred outcome
+			}
+		case 4:
+			r.kind = rLoadFill
+			r.size = 8
+		case 5:
+			r.kind = rStore
+			r.dest = 0
+			if rng.Intn(2) == 0 {
+				r.flags |= fAuth
+			}
+		case 6:
+			r.kind = rCmpxchg
+			if rng.Intn(2) == 0 {
+				r.flags |= fCommitted
+			}
+			if rng.Intn(2) == 0 {
+				r.flags |= fAuth
+			}
+		case 7:
+			r.kind = rCcvSet
+			r.dest = 0
+		case 8:
+			r.kind = rCcvGet
+		default:
+			r.kind = rUnion2
+		}
+		// A sprinkling of NaT-after bits on dest-writing records: some
+		// will be backed by shadow taint (pass), some not (the suspect
+		// path), some break a mechanical rule (rLoad with NaT).
+		if r.kind != rStore && r.kind != rCcvSet && r.dest != 0 && rng.Intn(12) == 0 {
+			r.flags |= fNatAfter
+		}
+		recs = append(recs, r)
+	}
+	return recs
 }
 
 // compareStates asserts two shadow states are identical over every
