@@ -11,11 +11,13 @@
 // evaluation; larger values run proportionally faster). -requests sets
 // the Figure 6 request count (the paper used 1000). -workers caps the
 // experiment cells run concurrently (0 = one per CPU; the results are
-// identical at any setting). -engine selects the execution engine (the
-// default block engine and the reference interpreter produce identical
-// results; the flag exists for performance comparison). -tagpipe moves
-// the instrumented runs' shadow checking onto the decoupled tag pipeline
-// (verdicts are unchanged, throughput is not).
+// identical at any setting). -engine selects the execution engine for
+// unhooked runs (the default block engine and the reference interpreter
+// produce identical results; the flag exists for performance
+// comparison). -tagpipe moves the instrumented runs' shadow checking
+// onto the decoupled tag pipeline (verdicts are unchanged, throughput is
+// not); its checker is a StepHook, so those runs always interpret,
+// whatever -engine says.
 // -selective applies whole-program taint-reachability analysis before
 // instrumenting, leaving statically taint-unreachable sites in their
 // original encoding (verdict-equivalent; lowers checked-run overhead).
@@ -41,7 +43,7 @@ func main() {
 	workers := flag.Int("workers", 0, "max concurrent experiment cells (0 = NumCPU, 1 = serial)")
 	tagpipeOn := flag.Bool("tagpipe", false, "check instrumented runs with the decoupled tag pipeline instead of inline")
 	selective := flag.Bool("selective", false, "instrument only statically taint-reachable sites in instrumented runs")
-	engineName := flag.String("engine", "block", "execution engine: block or interp")
+	engineName := flag.String("engine", "block", "execution engine for unhooked runs: block or interp (-tagpipe runs always interpret)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file")
 	flag.Parse()

@@ -12,10 +12,12 @@
 //	         [-trace out.jsonl] [-trace-chrome out.json] [-trace-depth n]
 //	         [-metrics dest] prog.mc
 //
-// -engine selects the execution engine: block (default) runs cached
-// pre-decoded basic blocks, interp runs the reference interpreter. Both
-// produce bit-identical results; interp exists as the differential
-// baseline and for debugging.
+// -engine selects the execution engine for unhooked runs: block
+// (default) runs cached pre-decoded basic blocks, interp runs the
+// reference interpreter. Checked (-oracle, -tagpipe), traced (-trace,
+// -trace-chrome), metered (-metrics) and profiled runs always use the
+// interpreter, whatever -engine says. Both engines produce bit-identical
+// results; interp exists as the differential baseline and for debugging.
 //
 // -selective (with -protect) runs the whole-program taint-reachability
 // analysis first and leaves statically taint-unreachable sites
@@ -92,7 +94,7 @@ func main() {
 	traceChrome := flag.String("trace-chrome", "", "write the trace in Chrome trace-event format (Perfetto) to this file")
 	traceDepth := flag.Int("trace-depth", 0, "flight-recorder ring capacity in events (0 = default)")
 	metricsDest := flag.String("metrics", "", "metrics destination: a listen address like :9090 serves Prometheus text over HTTP; otherwise a file the exposition is written to after the run (- for stdout)")
-	engineName := flag.String("engine", "block", "execution engine: block (cached translated basic blocks) or interp (reference interpreter)")
+	engineName := flag.String("engine", "block", "execution engine for unhooked runs: block (cached translated basic blocks) or interp (reference interpreter); checked, traced, metered and profiled runs always interpret")
 	var files, args listFlag
 	flag.Var(&files, "file", "mount name=hostpath into the simulated filesystem (repeatable)")
 	flag.Var(&args, "arg", "program argument (repeatable)")

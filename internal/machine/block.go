@@ -17,10 +17,12 @@
 // mid-block), the engine delegates the slice to exec instead of
 // duplicating its behaviour.
 //
-// Machine state is materialized lazily on the hook-free fast path:
-// within a block, PC and Retired live as (entry, index) in the driver
-// and Cycles accumulates in a local; all three are written back only at
-// block exits — terminators, traps, syscalls, and quantum expiry. The
+// The engine runs only hook-free slices: a slice with a StepHook or
+// Stats collector attached goes to exec, which delivers PreStep/PostStep
+// and per-op accounting. Machine state is materialized lazily: within a
+// block, PC and Retired live as (entry, index) in the driver and Cycles
+// accumulates in a local; all three are written back only at block
+// exits — terminators, traps, syscalls, and quantum expiry. The
 // per-class cycle split stays eager (it is off the critical dependency
 // chain), and the quantum check compares the local cycle counter after
 // every micro-op, so tag-coherent expiry lands on exactly the
@@ -36,10 +38,10 @@ import (
 	"shift/internal/isa"
 )
 
-// Engine selects the execution engine for Run and scheduler slices.
-// The zero value is the block engine, so machines default to it; Step
-// always uses the interpreter (it is the single-instruction reference
-// path).
+// Engine selects the execution engine for unhooked Run and scheduler
+// slices. The zero value is the block engine, so machines default to
+// it. Step, and every slice with a StepHook or Stats collector
+// attached, always use the interpreter (the reference path).
 type Engine uint8
 
 // Engines.
@@ -176,12 +178,12 @@ type block struct {
 	term  bool // last uop is a terminator
 	uops  []uop
 	// ins holds the source instruction per op — cold data used only for
-	// trap disassembly and the hooked driver's PreStep/PostStep.
+	// trap disassembly.
 	ins []*isa.Instruction
 	// preempt[i] reports whether pc entry+i+1 — the fall-through
 	// successor of op i — is a tag-coherent preemption point (the next
 	// instruction is original-program code, or past the text). It folds
-	// the sliceBoundary recomputation into the translation step.
+	// exec's tag-coherent slice-boundary test into the translation step.
 	preempt []bool
 }
 
@@ -419,15 +421,14 @@ func (m *Machine) translations(text []isa.Instruction) *TransCache {
 	return tc
 }
 
-// slice executes one scheduling slice on the machine's selected engine.
-// Run and the Scheduler go through here so the engine choice is applied
-// uniformly; Step stays on the interpreter.
+// slice executes one scheduling slice. Run and the Scheduler go through
+// here so the engine choice is applied uniformly. A slice with a
+// StepHook or Stats collector attached always runs on the interpreter,
+// the reference for per-instruction delivery; only unhooked slices
+// reach the block engine. Step stays on the interpreter.
 func (m *Machine) slice(text []isa.Instruction, budget, sliceEnd uint64) *Trap {
-	if m.Engine == EngineInterp {
+	if m.Engine == EngineInterp || m.Hook != nil || m.Stats != nil {
 		return m.exec(text, budget, sliceEnd, false)
-	}
-	if m.Hook != nil || m.Stats != nil {
-		return m.execBlocksCareful(text, budget, sliceEnd)
 	}
 	return m.execBlocksFast(text, budget, sliceEnd)
 }
@@ -1311,352 +1312,4 @@ func (m *Machine) execBlocksFast(text []isa.Instruction, budget, sliceEnd uint64
 			return nil
 		}
 	}
-}
-
-// execBlocksCareful is the block engine's slice loop when a StepHook or
-// Stats collector is attached: same compiled blocks, walked one
-// micro-op at a time with eager PC/Retired/Cycles and PreStep/PostStep
-// exactly where the interpreter fires them. Compile once, don't
-// reinterpret — the hooked flavor shares the translation cache with the
-// fast path.
-func (m *Machine) execBlocksCareful(text []isa.Instruction, budget, sliceEnd uint64) *Trap {
-	tc := m.translations(text)
-	for {
-		if uint(m.PC) >= uint(len(text)) {
-			if m.PC == HaltPC {
-				m.Halt(m.GR[isa.RegRet])
-				return nil
-			}
-			return &Trap{Kind: TrapBadPC, PC: m.PC, Ins: "<none>"}
-		}
-		b := tc.lookup(m, m.PC)
-		if m.Retired+uint64(b.n) > budget {
-			return m.exec(text, budget, sliceEnd, false)
-		}
-		trap, done := m.runBlockCareful(b, text, sliceEnd)
-		if trap != nil || done {
-			return trap
-		}
-	}
-}
-
-// runBlockCareful executes one compiled block with full per-instruction
-// fidelity. done reports a slice exit (halt, yield, quantum expiry);
-// (nil, false) means fall through to the next block.
-func (m *Machine) runBlockCareful(b *block, text []isa.Instruction, sliceEnd uint64) (trap *Trap, done bool) {
-	for i := 0; i < b.n; i++ {
-		ins := b.ins[i]
-		pc := b.entry + i
-		m.PC = pc
-		m.Retired++
-		if st := m.Stats; st != nil {
-			st.RetiredByOp[ins.Op]++
-			if st.Profile != nil {
-				st.Profile[pc]++
-			}
-		}
-		h := m.Hook
-		if h != nil {
-			h.PreStep(m, ins)
-		}
-		// Straight-line ops fall through; terminator micro-ops overwrite.
-		m.nextPC = pc + 1
-		if t := m.stepUop(b, i); t != nil {
-			return t, true
-		}
-		if h != nil {
-			// PostStep observes the instruction with PC still on it, as
-			// in the interpreter (the advance happens after).
-			if err := h.PostStep(m, ins); err != nil {
-				return m.trap(TrapOracle, ins, 0, 0, err), true
-			}
-		}
-		m.PC = m.nextPC
-		if m.Halted || m.YieldReq || (m.Cycles >= sliceEnd && m.sliceBoundary(text)) {
-			return nil, true
-		}
-	}
-	return nil, false
-}
-
-// stepUop executes one micro-op with eager accounting — the careful
-// driver's per-instruction block flavor. m.PC must already be at the
-// op's pc and m.nextPC preset to the fall-through successor. Every arm
-// mirrors the interpreter's switch in exec exactly; the differential
-// engine suite enforces agreement.
-func (m *Machine) stepUop(b *block, i int) *Trap {
-	u := &b.uops[i]
-	ins := b.ins[i]
-	c := &m.Costs
-	if u.qp != 0 && !m.PR[u.qp&63] {
-		m.charge(ins, c.PredOff)
-		return nil
-	}
-	switch u.kind {
-	case uAdd:
-		m.setGR(u.d, m.GR[u.s1&127]+m.GR[u.s2&127], m.NaT[u.s1&127] || m.NaT[u.s2&127])
-		m.charge(ins, c.ALU)
-	case uSub:
-		m.setGR(u.d, m.GR[u.s1&127]-m.GR[u.s2&127], m.NaT[u.s1&127] || m.NaT[u.s2&127])
-		m.charge(ins, c.ALU)
-	case uClear:
-		m.setGR(u.d, 0, false)
-		m.charge(ins, c.ALU)
-	case uAnd:
-		m.setGR(u.d, m.GR[u.s1&127]&m.GR[u.s2&127], m.NaT[u.s1&127] || m.NaT[u.s2&127])
-		m.charge(ins, c.ALU)
-	case uAndcm:
-		m.setGR(u.d, m.GR[u.s1&127]&^m.GR[u.s2&127], m.NaT[u.s1&127] || m.NaT[u.s2&127])
-		m.charge(ins, c.ALU)
-	case uOr:
-		m.setGR(u.d, m.GR[u.s1&127]|m.GR[u.s2&127], m.NaT[u.s1&127] || m.NaT[u.s2&127])
-		m.charge(ins, c.ALU)
-	case uXor:
-		m.setGR(u.d, m.GR[u.s1&127]^m.GR[u.s2&127], m.NaT[u.s1&127] || m.NaT[u.s2&127])
-		m.charge(ins, c.ALU)
-	case uShl:
-		m.setGR(u.d, m.GR[u.s1&127]<<(uint64(m.GR[u.s2&127])&63), m.NaT[u.s1&127] || m.NaT[u.s2&127])
-		m.charge(ins, c.ALU)
-	case uShr:
-		m.setGR(u.d, int64(uint64(m.GR[u.s1&127])>>(uint64(m.GR[u.s2&127])&63)), m.NaT[u.s1&127] || m.NaT[u.s2&127])
-		m.charge(ins, c.ALU)
-	case uSar:
-		m.setGR(u.d, m.GR[u.s1&127]>>(uint64(m.GR[u.s2&127])&63), m.NaT[u.s1&127] || m.NaT[u.s2&127])
-		m.charge(ins, c.ALU)
-	case uMul:
-		m.setGR(u.d, m.GR[u.s1&127]*m.GR[u.s2&127], m.NaT[u.s1&127] || m.NaT[u.s2&127])
-		m.charge(ins, c.MulDiv)
-	case uDiv:
-		v := m.GR[u.s2&127]
-		if v == 0 {
-			return m.trap(TrapDivZero, ins, 0, 0, nil)
-		}
-		m.setGR(u.d, m.GR[u.s1&127]/v, m.NaT[u.s1&127] || m.NaT[u.s2&127])
-		m.charge(ins, c.MulDiv)
-	case uRem:
-		v := m.GR[u.s2&127]
-		if v == 0 {
-			return m.trap(TrapDivZero, ins, 0, 0, nil)
-		}
-		m.setGR(u.d, m.GR[u.s1&127]%v, m.NaT[u.s1&127] || m.NaT[u.s2&127])
-		m.charge(ins, c.MulDiv)
-	case uAddi:
-		m.setGR(u.d, m.GR[u.s1&127]+u.imm, m.NaT[u.s1&127])
-		m.charge(ins, c.ALU)
-	case uAndi:
-		m.setGR(u.d, m.GR[u.s1&127]&u.imm, m.NaT[u.s1&127])
-		m.charge(ins, c.ALU)
-	case uOri:
-		m.setGR(u.d, m.GR[u.s1&127]|u.imm, m.NaT[u.s1&127])
-		m.charge(ins, c.ALU)
-	case uXori:
-		m.setGR(u.d, m.GR[u.s1&127]^u.imm, m.NaT[u.s1&127])
-		m.charge(ins, c.ALU)
-	case uShli:
-		m.setGR(u.d, m.GR[u.s1&127]<<(uint64(u.imm)&63), m.NaT[u.s1&127])
-		m.charge(ins, c.ALU)
-	case uShri:
-		m.setGR(u.d, int64(uint64(m.GR[u.s1&127])>>(uint64(u.imm)&63)), m.NaT[u.s1&127])
-		m.charge(ins, c.ALU)
-	case uSari:
-		m.setGR(u.d, m.GR[u.s1&127]>>(uint64(u.imm)&63), m.NaT[u.s1&127])
-		m.charge(ins, c.ALU)
-	case uMov:
-		m.setGR(u.d, m.GR[u.s1&127], m.NaT[u.s1&127])
-		m.charge(ins, c.ALU)
-	case uMovl:
-		m.setGR(u.d, u.imm, false)
-		m.charge(ins, c.Movl)
-	case uCmp:
-		if m.NaT[u.s1&127] || m.NaT[u.s2&127] {
-			m.setPR(u.p1, false)
-			m.setPR(u.p2, false)
-		} else {
-			r := u.cond.Eval(m.GR[u.s1&127], m.GR[u.s2&127])
-			m.setPR(u.p1, r)
-			m.setPR(u.p2, !r)
-		}
-		m.charge(ins, c.ALU)
-	case uCmpi:
-		if m.NaT[u.s1&127] {
-			m.setPR(u.p1, false)
-			m.setPR(u.p2, false)
-		} else {
-			r := u.cond.Eval(m.GR[u.s1&127], u.imm)
-			m.setPR(u.p1, r)
-			m.setPR(u.p2, !r)
-		}
-		m.charge(ins, c.ALU)
-	case uCmpNa, uCmpiNa:
-		if !m.Feat.NaTAwareCmp {
-			return m.trap(TrapIllegal, ins, 0, 0, fmt.Errorf("cmp.na requires the NaT-aware-compare enhancement"))
-		}
-		v := u.imm
-		if u.kind == uCmpNa {
-			v = m.GR[u.s2&127]
-		}
-		r := u.cond.Eval(m.GR[u.s1&127], v)
-		m.setPR(u.p1, r)
-		m.setPR(u.p2, !r)
-		m.charge(ins, c.ALU)
-	case uTnat:
-		m.setPR(u.p1, m.NaT[u.s1&127])
-		m.setPR(u.p2, !m.NaT[u.s1&127])
-		m.charge(ins, c.ALU)
-	case uLd8, uLd4, uLd2, uLd1:
-		if m.NaT[u.s1&127] {
-			return m.trap(TrapNaTLoadAddr, ins, uint64(m.GR[u.s1&127]), u.s1, nil)
-		}
-		addr := uint64(m.GR[u.s1&127])
-		v, missed, fault := m.read(addr, int(ins.Size))
-		if fault != nil {
-			return m.trap(TrapMemFault, ins, addr, 0, fault)
-		}
-		m.setGR(u.d, int64(v), false)
-		m.chargeLoad(ins, missed)
-	case uLdS8, uLdS4, uLdS2, uLdS1:
-		if m.NaT[u.s1&127] {
-			m.setGR(u.d, 0, true)
-			m.charge(ins, c.Ld+c.Defer)
-			break
-		}
-		addr := uint64(m.GR[u.s1&127])
-		v, missed, fault := m.read(addr, int(ins.Size))
-		if fault != nil {
-			m.setGR(u.d, 0, true)
-			m.charge(ins, c.Ld+c.Defer)
-			break
-		}
-		m.setGR(u.d, int64(v), false)
-		m.chargeLoad(ins, missed)
-	case uLdFill:
-		if m.NaT[u.s1&127] {
-			return m.trap(TrapNaTLoadAddr, ins, uint64(m.GR[u.s1&127]), u.s1, nil)
-		}
-		addr := uint64(m.GR[u.s1&127])
-		v, missed, fault := m.read(addr, 8)
-		if fault != nil {
-			return m.trap(TrapMemFault, ins, addr, 0, fault)
-		}
-		m.setGR(u.d, int64(v), m.UNAT>>uint(u.bit)&1 != 0)
-		m.chargeLoad(ins, missed)
-		m.charge(ins, c.SpillFill)
-	case uSt8, uSt4, uSt2, uSt1:
-		if m.NaT[u.s1&127] {
-			return m.trap(TrapNaTStoreAddr, ins, uint64(m.GR[u.s1&127]), u.s1, nil)
-		}
-		if m.NaT[u.s2&127] {
-			return m.trap(TrapNaTStoreData, ins, uint64(m.GR[u.s1&127]), u.s2, nil)
-		}
-		addr := uint64(m.GR[u.s1&127])
-		if fault := m.Mem.Write(addr, int(ins.Size), uint64(m.GR[u.s2&127])); fault != nil {
-			return m.trap(TrapMemFault, ins, addr, 0, fault)
-		}
-		m.charge(ins, c.St)
-	case uStSpill:
-		if m.NaT[u.s1&127] {
-			return m.trap(TrapNaTStoreAddr, ins, uint64(m.GR[u.s1&127]), u.s1, nil)
-		}
-		addr := uint64(m.GR[u.s1&127])
-		if fault := m.Mem.Write(addr, 8, uint64(m.GR[u.s2&127])); fault != nil {
-			return m.trap(TrapMemFault, ins, addr, 0, fault)
-		}
-		if m.NaT[u.s2&127] {
-			m.UNAT |= 1 << uint(u.bit)
-		} else {
-			m.UNAT &^= 1 << uint(u.bit)
-		}
-		m.charge(ins, c.St+c.SpillFill)
-	case uChkS:
-		if m.NaT[u.s1&127] {
-			m.nextPC = int(u.tgt)
-			m.charge(ins, c.Br)
-		} else {
-			m.charge(ins, c.Chk)
-		}
-	case uBr:
-		m.nextPC = int(u.tgt)
-		m.charge(ins, c.Br)
-	case uBrCall:
-		m.BR[u.b&7] = int64(m.PC + 1)
-		m.nextPC = int(u.tgt)
-		m.charge(ins, c.Br)
-	case uBrRet, uBrInd:
-		m.nextPC = int(m.BR[u.b&7])
-		m.charge(ins, c.Br)
-	case uMovToBr:
-		if m.NaT[u.s1&127] {
-			return m.trap(TrapNaTBranch, ins, 0, u.s1, nil)
-		}
-		m.BR[u.b&7] = m.GR[u.s1&127]
-		m.charge(ins, c.ALU)
-	case uMovFromBr:
-		m.setGR(u.d, m.BR[u.b&7], false)
-		m.charge(ins, c.ALU)
-	case uMovToUnat:
-		if m.NaT[u.s1&127] {
-			return m.trap(TrapNaTBranch, ins, 0, u.s1, nil)
-		}
-		m.UNAT = uint64(m.GR[u.s1&127])
-		m.charge(ins, c.ALU)
-	case uMovFromUnat:
-		m.setGR(u.d, int64(m.UNAT), false)
-		m.charge(ins, c.ALU)
-	case uMovToCcv:
-		if m.NaT[u.s1&127] {
-			return m.trap(TrapNaTBranch, ins, 0, u.s1, nil)
-		}
-		m.CCV = uint64(m.GR[u.s1&127])
-		m.charge(ins, c.ALU)
-	case uMovFromCcv:
-		m.setGR(u.d, int64(m.CCV), false)
-		m.charge(ins, c.ALU)
-	case uCmpxchg:
-		if m.NaT[u.s1&127] {
-			return m.trap(TrapNaTStoreAddr, ins, uint64(m.GR[u.s1&127]), u.s1, nil)
-		}
-		if m.NaT[u.s2&127] {
-			return m.trap(TrapNaTStoreData, ins, uint64(m.GR[u.s1&127]), u.s2, nil)
-		}
-		addr := uint64(m.GR[u.s1&127])
-		old, missed, fault := m.read(addr, int(ins.Size))
-		if fault != nil {
-			return m.trap(TrapMemFault, ins, addr, 0, fault)
-		}
-		if old == m.CCV {
-			if fault := m.Mem.Write(addr, int(ins.Size), uint64(m.GR[u.s2&127])); fault != nil {
-				return m.trap(TrapMemFault, ins, addr, 0, fault)
-			}
-		}
-		m.setGR(u.d, int64(old), false)
-		m.chargeLoad(ins, missed)
-		m.charge(ins, c.St) // semaphore ops pay both halves
-	case uSetNat:
-		if !m.Feat.SetClrNaT {
-			return m.trap(TrapIllegal, ins, 0, 0, fmt.Errorf("setnat requires the set/clear-NaT enhancement"))
-		}
-		m.NaT[u.d&127] = u.d != isa.RegZero
-		m.charge(ins, c.ALU)
-	case uClrNat:
-		if !m.Feat.SetClrNaT {
-			return m.trap(TrapIllegal, ins, 0, 0, fmt.Errorf("clrnat requires the set/clear-NaT enhancement"))
-		}
-		m.NaT[u.d&127] = false
-		m.charge(ins, c.ALU)
-	case uSyscall:
-		if m.OS == nil {
-			return m.trap(TrapHostError, ins, 0, 0, fmt.Errorf("no syscall handler installed"))
-		}
-		m.charge(ins, c.Syscall)
-		extra, trap := m.OS.Syscall(m, u.imm)
-		m.charge(ins, extra)
-		if trap != nil {
-			return trap
-		}
-	case uNop:
-		m.charge(ins, c.Nop)
-	default:
-		return m.trap(TrapIllegal, ins, 0, 0, fmt.Errorf("undefined opcode"))
-	}
-	return nil
 }

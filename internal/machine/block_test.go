@@ -289,10 +289,19 @@ func TestEngineParitySlices(t *testing.T) {
 	}
 }
 
-// TestEngineParityHooked runs the block engine's per-instruction careful
-// driver (hook attached) against the interpreter with the same hook,
-// checking the hook observes the identical retirement stream.
+// TestEngineParityHooked pins slice routing: a block-engine machine with
+// a hook or Stats collector attached must run on the interpreter (no
+// translation cache attached, no block traffic) and hand the hook the
+// interpreter's retirement stream, while an unhooked block-engine run
+// must still attach a cache and execute blocks.
 func TestEngineParityHooked(t *testing.T) {
+	noBlocks := func(t *testing.T, label string, m *Machine) {
+		t.Helper()
+		if m.Translations() != nil || m.BlockStats.Hits+m.BlockStats.Misses != 0 {
+			t.Errorf("%s block-engine run used the block engine: cache=%v hits=%d misses=%d",
+				label, m.Translations() != nil, m.BlockStats.Hits, m.BlockStats.Misses)
+		}
+	}
 	for _, tc := range parityPrograms {
 		t.Run(tc.name, func(t *testing.T) {
 			var refSeen, gotSeen []int
@@ -317,6 +326,25 @@ func TestEngineParityHooked(t *testing.T) {
 			}
 			if ref.Stats.RetiredByOp != got.Stats.RetiredByOp {
 				t.Error("RetiredByOp mismatch")
+			}
+			noBlocks(t, "hooked", got)
+
+			statsOnly := newTestMachine(t, tc.src, EngineBlock, tc.setup)
+			statsOnly.Feat = tc.feat
+			statsOnly.EnableStats()
+			statsTrap := statsOnly.Run()
+			compareMachines(t, tc.name+"/stats", ref, statsOnly, refTrap, statsTrap)
+			if ref.Stats.RetiredByOp != statsOnly.Stats.RetiredByOp {
+				t.Error("stats-only RetiredByOp mismatch")
+			}
+			noBlocks(t, "stats-only", statsOnly)
+
+			plain := newTestMachine(t, tc.src, EngineBlock, tc.setup)
+			plain.Feat = tc.feat
+			plainTrap := plain.Run()
+			compareMachines(t, tc.name+"/unhooked", ref, plain, refTrap, plainTrap)
+			if plain.Translations() == nil || plain.BlockStats.Hits+plain.BlockStats.Misses == 0 {
+				t.Errorf("unhooked block-engine run attached no cache or ran no blocks: %+v", plain.BlockStats)
 			}
 		})
 	}

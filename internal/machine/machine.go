@@ -257,21 +257,16 @@ type Machine struct {
 	// thread. The unsafe mode exists to reproduce the hazard on demand.
 	UnsafePreempt bool
 
-	// Engine selects the execution engine for Run and scheduler slices
-	// (see block.go). The zero value is the block engine; Step always
-	// uses the interpreter.
+	// Engine selects the execution engine for unhooked Run and scheduler
+	// slices (see block.go). The zero value is the block engine. Step,
+	// and every slice with Hook or Stats set, always use the interpreter.
 	Engine Engine
 
 	// BlockStats counts this machine's translation-cache traffic under
-	// the block engine. Reset zeroes the counters (like Cycles/Retired);
-	// the cache itself survives.
+	// the block engine, so only unhooked, stats-free slices add to it.
+	// Reset zeroes the counters (like Cycles/Retired); the cache itself
+	// survives.
 	BlockStats BlockStats
-
-	// nextPC is the block engine's successor-PC scratch slot: terminator
-	// micro-ops publish where control goes next, and the driver commits
-	// it to PC only after the PostStep hook has observed the instruction
-	// (matching the interpreter's PostStep-before-advance ordering).
-	nextPC int
 
 	// tc is the attached translation cache; tcText is the text slice it
 	// was last validated against (the per-slice identity fast path).
@@ -410,7 +405,8 @@ func (m *Machine) exec(text []isa.Instruction, budget, sliceEnd uint64, single b
 	// per retirement: the hook, stats collector, preemption mode and cost
 	// table are all fixed before a run starts (budget resolution is
 	// likewise per-slice — the callers pass it in). The slice-boundary
-	// test at the bottom uses the hoisted copies inline.
+	// test at the bottom uses the hoisted copies inline; it is the
+	// tag-coherent preemption rule documented on UnsafePreempt.
 	n := uint(len(text))
 	st := m.Stats
 	h := m.Hook
@@ -808,21 +804,6 @@ func (m *Machine) exec(text []isa.Instruction, budget, sliceEnd uint64, single b
 			return nil
 		}
 	}
-}
-
-// sliceBoundary reports whether the current PC is a point where a
-// quantum expiry may end the time slice. The default is tag-coherent
-// preemption: a slice ends only when the next instruction to run is an
-// original-program instruction (or the PC left the text), so an
-// instrumentation block — in particular the data-store-to-tag-update
-// pair of Figure 5 — always retires whole before a sibling thread runs.
-// That atomicity is what makes the tag bitmap coherent across threads
-// and the lockstep oracle's cross-thread checks sound. UnsafePreempt
-// disables the rule to reproduce the §4.4 hazard. Yields, halts and
-// traps are unaffected: the yield/join syscalls are original
-// instructions, so they already sit on block boundaries.
-func (m *Machine) sliceBoundary(text []isa.Instruction) bool {
-	return m.UnsafePreempt || uint(m.PC) >= uint(len(text)) || text[m.PC].Class == isa.ClassOrig
 }
 
 // read performs a data read and reports whether it missed in the L1 model.

@@ -99,10 +99,13 @@ type Options struct {
 	DecoupledWindow int
 	// Costs overrides the cycle cost model (nil = machine defaults).
 	Costs *machine.Costs
-	// Engine selects the execution engine: the translated-block engine
-	// (default) or the reference interpreter. The engines are
-	// bit-identical in every architectural observable; interp exists as
-	// the oracle's ground truth and for differential testing.
+	// Engine selects the execution engine for unhooked runs: the
+	// translated-block engine (default) or the reference interpreter.
+	// Checked (Oracle, Decoupled), traced, metered and profiled runs
+	// attach a StepHook or Stats collector and always interpret, whatever
+	// Engine says. The engines are bit-identical in every architectural
+	// observable; interp exists as the oracle's ground truth and for
+	// differential testing.
 	Engine machine.Engine
 	// Trace, when non-nil, records taint-lifecycle events into the given
 	// flight recorder: both the OS-boundary events (taint birth, policy
@@ -374,25 +377,6 @@ func RunOn(mach *machine.Machine, world *World, opt Options) (*Result, error) {
 	sched := machine.NewScheduler(mach)
 	sched.Quantum = opt.Quantum
 	world.Sched = sched
-	if opt.Metrics != nil {
-		// Translation-cache traffic, summed across guest threads (threads
-		// share the main thread's cache, but hit/miss counts are
-		// per-machine).
-		sumBlocks := func(f func(*machine.BlockStats) uint64) func() uint64 {
-			return func() uint64 {
-				var total uint64
-				for _, th := range sched.Threads {
-					total += f(&th.BlockStats)
-				}
-				return total
-			}
-		}
-		opt.Metrics.GaugeFunc("shift_blocks_compiled", sumBlocks(func(s *machine.BlockStats) uint64 { return s.Compiled }))
-		opt.Metrics.GaugeFunc("shift_block_cache_hits", sumBlocks(func(s *machine.BlockStats) uint64 { return s.Hits }))
-		opt.Metrics.GaugeFunc("shift_block_cache_misses", sumBlocks(func(s *machine.BlockStats) uint64 { return s.Misses }))
-		opt.Metrics.GaugeFunc("shift_block_invalidations", sumBlocks(func(s *machine.BlockStats) uint64 { return s.Invalidations }))
-		opt.Metrics.GaugeFunc("shift_block_cache_evictions", machine.TranslationEvictions)
-	}
 
 	trap := sched.Run()
 	if obs != nil {
