@@ -30,9 +30,10 @@
 // into the simulated filesystem, -arg appends a program argument.
 // -oracle runs the lockstep reference DIFT engine alongside execution and
 // reports any divergence between the tag machinery and plain shadow
-// interpretation (exit status 4). -tagpipe moves that shadow checking
-// off the hot loop onto an asynchronous pipeline committer that drains
-// at policy sinks — same verdicts, decoupled propagation.
+// interpretation (exit status 4). -tagpipe replaces per-instruction
+// shadow checking with the decoupled tag pipeline, which records each
+// retirement into a batch and checks at policy sinks — same verdicts,
+// batched propagation.
 //
 // -trace records the taint-lifecycle flight recorder to a JSONL file
 // ("-" for stdout); -trace-chrome writes the same events in Chrome
@@ -229,9 +230,9 @@ func main() {
 	}
 	if *tagpipeOn && res.Pipe != nil {
 		s := &res.Pipe.Stats
-		fmt.Printf("tagpipe: %d records in %d segments (%d direct), %d stalls, %d drains, %d sweeps\n",
+		fmt.Printf("tagpipe: %d records in %d segments (%d direct), %d drains, %d sweeps\n",
 			s.Records.Load(), s.Segments.Load(), s.DirectSegs.Load(),
-			s.Stalls.Load(), s.Drains.Load(), s.Sweeps.Load())
+			s.Drains.Load(), s.Sweeps.Load())
 	}
 	if *selective && *protect {
 		fmt.Printf("selective: %d sites, %d instrumented, %d skipped\n",

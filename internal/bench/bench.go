@@ -24,9 +24,9 @@ var Engine machine.Engine
 
 // Tagpipe runs instrumented benchmark runs under the decoupled tag
 // pipeline (cmd/shiftbench's -tagpipe flag). False — the default — keeps
-// checking inline; true moves shadow propagation onto an asynchronous
-// committer draining at sinks, which changes throughput but not verdicts
-// (see DESIGN.md "Decoupled tag pipeline").
+// checking inline; true records each retirement into a batch that is
+// applied when full and checked at sinks, which changes throughput but
+// not verdicts (see DESIGN.md "Decoupled tag pipeline").
 var Tagpipe bool
 
 // Selective makes every instrumented benchmark run use selective

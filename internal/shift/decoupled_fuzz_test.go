@@ -7,19 +7,18 @@ import (
 )
 
 // FuzzDecoupledLockstep explores (program seed, tainted input,
-// granularity, lag-window size) with BOTH checkers live in
-// one run: the inline oracle cross-checks every retired instruction
-// while the decoupled pipeline re-propagates the same stream
-// asynchronously and re-checks at sinks. Tiny windows (down to one
-// record per segment) force constant producer stalls and drains, so the
-// ring's backpressure and the commit ordering are under fuzz along with
-// the taint semantics. Any trap, alert, or divergence from either
+// granularity) with BOTH checkers live in one run: the inline oracle
+// cross-checks every retired instruction while the decoupled pipeline
+// records the same stream into batches, applies them when they fill and
+// at every sink, and re-checks there. Fuzzed programs put syscalls and
+// host effects at arbitrary points of the stream, so batches are applied
+// at arbitrary boundaries. Any trap, alert, or divergence from either
 // checker is a finding.
 func FuzzDecoupledLockstep(f *testing.F) {
-	f.Add(int64(1), []byte("tainted input bytes"), false, uint8(0))
-	f.Add(int64(7), []byte{0xff, 0x00, 0x80, 0x7f}, true, uint8(1))
-	f.Add(int64(42), []byte("0123456789abcdef0123456789abcdef"), false, uint8(9))
-	f.Fuzz(func(t *testing.T, seed int64, input []byte, word bool, window uint8) {
+	f.Add(int64(1), []byte("tainted input bytes"), false)
+	f.Add(int64(7), []byte{0xff, 0x00, 0x80, 0x7f}, true)
+	f.Add(int64(42), []byte("0123456789abcdef0123456789abcdef"), false)
+	f.Fuzz(func(t *testing.T, seed int64, input []byte, word bool) {
 		if len(input) == 0 {
 			input = []byte{1}
 		}
@@ -34,11 +33,10 @@ func FuzzDecoupledLockstep(f *testing.F) {
 		world := NewWorld()
 		world.NetIn = input
 		res, err := BuildAndRun([]Source{{Name: "fuzz.mc", Text: src}}, world, Options{
-			Instrument:      true,
-			Granularity:     g,
-			Oracle:          true,
-			Decoupled:       1,
-			DecoupledWindow: 1 + int(window)%64,
+			Instrument:  true,
+			Granularity: g,
+			Oracle:      true,
+			Decoupled:   1,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -2,12 +2,11 @@ package shift_test
 
 // Differential suite for the decoupled tag pipeline: every workload,
 // attack and threaded schedule runs once under the inline lockstep
-// oracle and once under the asynchronous pipeline, and the two runs must
-// agree on every observable — traps, alerts, output, exit status, cycle
-// accounting, machine state, and the taint bitmap. Verdict equivalence
-// is the pipeline's acceptance criterion (DESIGN.md "Decoupled tag
-// pipeline"); the -race CI stage runs this file too, covering the
-// producer/committer handoffs.
+// oracle and once under the batched, sink-checked pipeline, and the two
+// runs must agree on every observable — traps, alerts, output, exit
+// status, cycle accounting, machine state, and the taint bitmap. Verdict
+// equivalence is the pipeline's acceptance criterion (DESIGN.md
+// "Decoupled tag pipeline"); the -race CI stage runs this file too.
 
 import (
 	"fmt"

@@ -43,9 +43,9 @@ type HostEffects interface {
 	OnSpawn(parentTID, childTID int)
 }
 
-// SinkSyncer is the optional extension an asynchronous checker (the
+// SinkSyncer is the optional extension a batching checker (the
 // decoupled tag pipeline) implements: a policy sink is about to render a
-// verdict, so any in-flight shadow propagation must be drained first and
+// verdict, so any batched shadow propagation must be applied first and
 // any divergence it exposed must preempt the verdict. The inline oracle
 // doesn't need it — it is never behind.
 type SinkSyncer interface {
@@ -92,7 +92,7 @@ func (me multiEffects) SyncSink(m *machine.Machine, sink string) error {
 	return nil
 }
 
-// syncSink drains asynchronous checkers before a sink verdict; a
+// syncSink drains batching checkers before a sink verdict; a
 // divergence surfaced by the drain preempts the verdict as a TrapOracle.
 func (w *World) syncSink(m *machine.Machine, sink string) *machine.Trap {
 	s, ok := w.Effects.(SinkSyncer)
@@ -220,7 +220,7 @@ func (w *World) notifyWrite(m *machine.Machine, addr uint64, n int) {
 // invoke it only when an Engine is installed — a recorded policy-check
 // event means a check actually ran.
 func (w *World) checkSink(m *machine.Machine, sink string, v *policy.Violation) *machine.Trap {
-	// A sink verdict is a synchronization point for asynchronous shadow
+	// A sink verdict is a synchronization point for batched shadow
 	// propagation: drain before rendering, and let a divergence the drain
 	// exposes preempt the verdict.
 	if t := w.syncSink(m, sink); t != nil {

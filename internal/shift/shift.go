@@ -86,17 +86,15 @@ type Options struct {
 	// shadow-taint interpretation. A disagreement stops the run with a
 	// TrapOracle carrying a full divergence report (Result.Trap).
 	Oracle bool
-	// Decoupled, when non-zero, enables the decoupled tag pipeline: tag
-	// state is maintained asynchronously over a retirement log and every
-	// policy sink drains the log before its verdict. Verdicts are equivalent to the inline oracle's; the
-	// strong cross-checks run at sink granularity instead of at every
-	// original-instruction boundary (see DESIGN.md "Decoupled tag
-	// pipeline"). Composable with Oracle for differential testing.
+	// Decoupled, when non-zero, enables the decoupled tag pipeline: each
+	// retired instruction is recorded into a batched retirement log,
+	// applied to shadow tag state when the batch fills and at every
+	// policy sink before its verdict. Verdicts are equivalent to the
+	// inline oracle's; the strong cross-checks run at sink granularity
+	// instead of at every original-instruction boundary (see DESIGN.md
+	// "Decoupled tag pipeline"). Composable with Oracle for differential
+	// testing.
 	Decoupled int
-	// DecoupledWindow overrides the pipeline's per-segment record count
-	// (the lag window is 64 segments × this; 0 = default 256). Exposed
-	// for the fuzz harness, which shrinks it to force stalls and drains.
-	DecoupledWindow int
 	// Costs overrides the cycle cost model (nil = machine defaults).
 	Costs *machine.Costs
 	// Engine selects the execution engine for unhooked runs: the
@@ -318,8 +316,8 @@ func RunOn(mach *machine.Machine, world *World, opt Options) (*Result, error) {
 	}
 
 	// The decoupled tag pipeline rides the same seams as the oracle: the
-	// StepHook retirement stream feeds its ring, and the host-effect
-	// notifications become its synchronous sink drains. With both engines
+	// StepHook retirement stream feeds its record batch, and the
+	// host-effect notifications become its sink drains. With both engines
 	// requested the oracle hooks first, keeping its at-the-instruction
 	// abort semantics; the pipeline then sees exactly the same stream.
 	var pipe *tagpipe.Pipeline
@@ -328,7 +326,6 @@ func RunOn(mach *machine.Machine, world *World, opt Options) (*Result, error) {
 			Tags:          world.Tags,
 			Instrumented:  opt.Instrument,
 			UnsafePreempt: opt.UnsafePreempt,
-			SegRecords:    opt.DecoupledWindow,
 		})
 		defer pipe.Close()
 		if mach.Hook != nil {
@@ -360,9 +357,7 @@ func RunOn(mach *machine.Machine, world *World, opt Options) (*Result, error) {
 		s := &pipe.Stats
 		opt.Metrics.GaugeFunc("shift_tagpipe_records_total", func() uint64 { return s.Records.Load() })
 		opt.Metrics.GaugeFunc("shift_tagpipe_segments_total", func() uint64 { return s.Segments.Load() })
-		opt.Metrics.GaugeFunc("shift_tagpipe_stalls_total", func() uint64 { return s.Stalls.Load() })
 		opt.Metrics.GaugeFunc("shift_tagpipe_drains_total", func() uint64 { return s.Drains.Load() })
-		opt.Metrics.GaugeFunc("shift_tagpipe_lag_records", pipe.Lag)
 	}
 	if opt.Metrics != nil {
 		m := mach.Mem
@@ -389,7 +384,7 @@ func RunOn(mach *machine.Machine, world *World, opt Options) (*Result, error) {
 		}
 	}
 	if trap == nil && pipe != nil {
-		// Same final agreement for the decoupled engine: drain the ring
+		// Same final agreement for the decoupled engine: apply the batch
 		// and run the closing register/bitmap sweeps.
 		if err := pipe.Finish(mach); err != nil {
 			trap = &machine.Trap{Kind: machine.TrapOracle, PC: mach.PC, Ins: "<finish>", Err: err}

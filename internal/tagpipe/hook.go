@@ -9,7 +9,7 @@ import (
 // The producer: machine.StepHook plus the shift package's host-effect
 // notifications. Everything here runs on the execution goroutine. The
 // mapping from opcodes to records mirrors oracle.PostStep rule for rule;
-// the difference is that the result is a 24-byte record in a ring
+// the difference is that the result is a 24-byte record in a batch
 // instead of an immediate shadow update.
 
 // PreStep captures the pre-state the record needs: effective addresses
@@ -52,9 +52,9 @@ func (p *Pipeline) authoritative(ins *isa.Instruction) bool {
 
 // PostStep resolves the retired instruction into a record and emits it.
 // Syscalls and taken chk.s recoveries are policy sinks and synchronize
-// instead.
+// instead. A divergence latched by an earlier batch is returned here.
 func (p *Pipeline) PostStep(m *machine.Machine, ins *isa.Instruction) error {
-	if p.failed.Load() {
+	if p.failure != nil {
 		return p.failureErr(m)
 	}
 	if ins.Op == isa.OpSyscall {
@@ -63,8 +63,9 @@ func (p *Pipeline) PostStep(m *machine.Machine, ins *isa.Instruction) error {
 	if ins.Op == isa.OpChkS {
 		if !p.squashed && m.NaT[ins.Src1] {
 			// Taken recovery: the policy verdict (alert vs recover) was
-			// rendered during the branch — drain so it stood on fully
-			// propagated state, and surface any failure it exposed.
+			// rendered during the branch — apply the batch so it stood
+			// on fully propagated state, and surface any failure it
+			// exposed.
 			p.drain()
 			return p.failureErr(m)
 		}
@@ -162,7 +163,7 @@ func (p *Pipeline) PostStep(m *machine.Machine, ins *isa.Instruction) error {
 	return nil
 }
 
-// syscallBoundary is the main sink: drain the ring, run the boundary
+// syscallBoundary is the main sink: apply the batch, run the boundary
 // checks the oracle runs at a syscall (register sweep skipping r8, full
 // bitmap sweep for non-squashed calls), then apply the syscall's own
 // r8 propagation rule directly to the committed state.
@@ -199,9 +200,10 @@ func (p *Pipeline) syscallBoundary(m *machine.Machine, ins *isa.Instruction) err
 	return nil
 }
 
-// Host effects are synchronous: the OS model touches guest state
-// mid-syscall, so the pipeline drains and applies the effect directly to
-// the committed shadow — exactly where it falls in retirement order.
+// Host effects are sinks too: the OS model touches guest state
+// mid-syscall, so the pipeline applies its batch and then the effect
+// directly to the committed shadow — exactly where it falls in
+// retirement order.
 
 // HostWrite records that the OS wrote n bytes of host data at addr.
 // Tags are sticky under SHIFT's OS model; a hidden unit the OS
@@ -263,7 +265,8 @@ func (p *Pipeline) OnSpawn(parentTID, childTID int) {
 }
 
 // SyncSink implements the shift package's sink synchronization: a
-// policy check is about to render a verdict, so the ring must be empty.
+// policy check is about to render a verdict, so the batch must be
+// applied first.
 func (p *Pipeline) SyncSink(m *machine.Machine, sink string) error {
 	p.drain()
 	return p.failureErr(m)

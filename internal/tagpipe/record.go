@@ -56,8 +56,8 @@ const (
 	fAuth                        // store is authoritative (tag-update expected)
 )
 
-// rec is one retirement-log record: 24 bytes, no pointers, so segments
-// recycle with zero garbage.
+// rec is one retirement-log record: 24 bytes, no pointers, so the batch
+// is reused with zero garbage.
 type rec struct {
 	kind  recKind
 	op    isa.Opcode // for divergence reports only
@@ -70,10 +70,4 @@ type rec struct {
 	tid   int32
 	pc    int32
 	addr  uint64
-}
-
-// segment is one ring slot: a batch of records. Segments cycle free →
-// producer → committer → free.
-type segment struct {
-	recs []rec
 }

@@ -27,11 +27,10 @@ type regShadow struct {
 	ccv   bool
 }
 
-// state is the committed shadow taint state the pipeline maintains
-// asynchronously. Only the committer mutates it while records are in
-// flight; the producer reads and mutates it directly at synchronization
-// points (sink drains, host effects), after the drain's happens-before
-// edge has been established.
+// state is the committed shadow taint state. Batched records reach it
+// through applyRec; sinks (drains, host effects, spawns) read and mutate
+// it directly, after applying the batch, so it is always up to date with
+// execution when they do.
 type state struct {
 	unit    uint64
 	mem     map[uint64]memUnit
@@ -39,8 +38,8 @@ type state struct {
 	// checking mirrors the oracle's strong-check soundness: it drops
 	// when a second thread spawns under UnsafePreempt (the §4.4 window
 	// really is observable there). Transitions happen only at drains,
-	// so the committer always sees a value consistent with the records
-	// it is applying.
+	// so every record is applied under the value in force when it
+	// retired.
 	checking bool
 	// concurrent latches once checking has stood down; it never comes
 	// back within a run (mirroring the oracle's latch).
