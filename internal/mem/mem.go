@@ -349,6 +349,9 @@ func (m *Memory) CheckAccess(addr uint64, size int) *Fault {
 // Peek reads one byte without consulting or updating the cache model, so
 // observers (the lockstep oracle's bitmap cross-checks) cannot perturb
 // the cycle accounting. Mapping and implemented-bits rules still apply.
+// Peek does go through the software TLB: it fills it and counts in
+// TLBStats, so observer volume (the tag pipeline's sweeps) shows up in
+// mem.tlb_miss_ratio and shift_tlb_*, though never in cycles.
 func (m *Memory) Peek(addr uint64) (byte, *Fault) {
 	if !m.rangeOK(addr, 1) {
 		if f := m.check(addr, 1); f != nil {
@@ -360,6 +363,23 @@ func (m *Memory) Peek(addr uint64) (byte, *Fault) {
 		return 0, nil
 	}
 	return p[addr&(pageSize-1)], nil
+}
+
+// PeekBlock fills dst with the bytes at [addr, addr+len(dst)) under
+// Peek's rules: no cache model, one software-TLB lookup. The range must
+// lie within one page; PeekBlock reports false, with dst unspecified,
+// when it does not or when any byte of it is inaccessible.
+func (m *Memory) PeekBlock(addr uint64, dst []byte) bool {
+	base := addr & (pageSize - 1)
+	if base+uint64(len(dst)) > pageSize || !m.rangeOK(addr, len(dst)) {
+		return false
+	}
+	if p := m.frame(addr, false); p != nil {
+		copy(dst, p[base:])
+	} else {
+		clear(dst)
+	}
+	return true
 }
 
 // ReadBytes copies n bytes starting at addr into a fresh slice. It is a

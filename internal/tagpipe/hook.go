@@ -213,16 +213,7 @@ func (p *Pipeline) HostWrite(addr uint64, n int) {
 		return
 	}
 	p.drain()
-	st := p.st
-	for u := st.unitOf(addr); u < st.unitOf(addr+uint64(n)-1)+st.unit; u += st.unit {
-		mu := st.mem[u]
-		if mu.hidden && p.cfg.Tags != nil {
-			if bit, err := p.cfg.Tags.PeekUnit(u); err == nil {
-				mu = memUnit{taint: bit}
-			}
-		}
-		st.mem[u] = mu
-	}
+	p.st.hostWrite(p.cfg.Tags, addr, uint64(n))
 }
 
 // HostTaint records that the OS marked [addr, addr+n) as a taint source.
@@ -231,10 +222,7 @@ func (p *Pipeline) HostTaint(addr, n uint64) {
 		return
 	}
 	p.drain()
-	st := p.st
-	for u := st.unitOf(addr); u < st.unitOf(addr+n-1)+st.unit; u += st.unit {
-		st.mem[u] = memUnit{taint: true}
-	}
+	p.st.hostSet(addr, n, true)
 }
 
 // HostUntaint records that the OS explicitly cleared tags over
@@ -244,10 +232,7 @@ func (p *Pipeline) HostUntaint(addr, n uint64) {
 		return
 	}
 	p.drain()
-	st := p.st
-	for u := st.unitOf(addr); u < st.unitOf(addr+n-1)+st.unit; u += st.unit {
-		st.mem[u] = memUnit{taint: false}
-	}
+	p.st.hostSet(addr, n, false)
 }
 
 // OnSpawn records a thread creation: the child inherits its argument

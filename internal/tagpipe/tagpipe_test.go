@@ -2,7 +2,9 @@ package tagpipe
 
 import (
 	"errors"
+	"math/bits"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"shift/internal/isa"
@@ -67,18 +69,33 @@ func TestPipelineCleanRun(t *testing.T) {
 
 // A store whose tag update went missing surfaces as a bitmap divergence.
 // Detection is sink-granular: with no syscalls in the program it lands at
-// Finish rather than at the next instruction boundary.
+// Finish rather than at the next instruction boundary. Stale units sit
+// on two shadow pages and in two words of one page, stored highest
+// first; the sweep must report the lowest.
 func TestPipelineCatchesStaleBitmap(t *testing.T) {
-	text := []isa.Instruction{
-		{Op: isa.OpMovl, Dest: 1, Imm: int64(dataAddr)},
-		{Op: isa.OpMovl, Dest: 2, Imm: 7},
-		{Op: isa.OpSt, Src1: 1, Src2: 2, Size: 8}, // clean store, no tag update follows
-		{Op: isa.OpAdd, Dest: 4, Src1: 2, Src2: 2},
-	}
 	for _, g := range []taint.Granularity{taint.Byte, taint.Word} {
+		ub := g.UnitBytes()
+		low := dataAddr                     // page 0, word 4 (byte) / 0 (word)
+		nextWord := dataAddr + 64*ub        // same page, next word
+		nextPage := dataAddr + pageUnits*ub // next shadow page
+		text := []isa.Instruction{
+			{Op: isa.OpMovl, Dest: 1, Imm: int64(nextPage)},
+			{Op: isa.OpMovl, Dest: 5, Imm: int64(nextWord)},
+			{Op: isa.OpMovl, Dest: 6, Imm: int64(low)},
+			{Op: isa.OpMovl, Dest: 2, Imm: 7},
+			// Clean stores, no tag updates follow.
+			{Op: isa.OpSt, Src1: 1, Src2: 2, Size: 8},
+			{Op: isa.OpSt, Src1: 5, Src2: 2, Size: 8},
+			{Op: isa.OpSt, Src1: 6, Src2: 2, Size: 8},
+			{Op: isa.OpAdd, Dest: 4, Src1: 2, Src2: 2},
+		}
 		m, tags := buildMachine(t, text, g)
-		if err := tags.SetRange(dataAddr, 8); err != nil { // seeded bug: stale taint
-			t.Fatal(err)
+		// Seeded bug: stale taint under all three stores, the lowest
+		// one three bytes into its store.
+		for _, r := range [][2]uint64{{nextPage, 8}, {nextWord + 5, 1}, {low + 6, 1}, {low + 3, 1}} {
+			if err := tags.SetRange(r[0], r[1]); err != nil {
+				t.Fatal(err)
+			}
 		}
 		p := New(Config{Tags: tags, Instrumented: true})
 		p.Attach(m)
@@ -90,6 +107,9 @@ func TestPipelineCatchesStaleBitmap(t *testing.T) {
 		var d *oracle.Divergence
 		if !errors.As(err, &d) || d.Kind != oracle.DivBitmap {
 			t.Fatalf("gran=%v: Finish = %v, want DivBitmap", g, err)
+		}
+		if want := (low + 3) &^ (ub - 1); d.Addr != want {
+			t.Errorf("gran=%v: divergent unit %#x, want the lowest stale unit %#x", g, d.Addr, want)
 		}
 		if !d.Machine || d.Shadow {
 			t.Errorf("gran=%v: machine=%v shadow=%v, want true/false", g, d.Machine, d.Shadow)
@@ -224,6 +244,164 @@ func TestPipelineSpawn(t *testing.T) {
 	u.Close()
 }
 
+// refUnit is one unit of the per-unit reference shadow.
+type refUnit struct{ taint, hidden bool }
+
+// refShadow is a per-unit map shadow with a sorted per-unit sweep, the
+// oracle's layout: the reference the paged shadow and its word-wise
+// sweep must agree with (same known units, same first divergence, same
+// UnitChecks).
+type refShadow struct {
+	unit uint64
+	mem  map[uint64]refUnit
+}
+
+func (r *refShadow) each(addr, n uint64, fn func(u uint64)) {
+	for u := addr &^ (r.unit - 1); u < (addr+n-1)&^(r.unit-1)+r.unit; u += r.unit {
+		fn(u)
+	}
+}
+
+func (r *refShadow) setMem(addr uint64, size int, t, auth bool) {
+	r.each(addr, uint64(size), func(u uint64) { r.mem[u] = refUnit{taint: t, hidden: !auth} })
+}
+
+func (r *refShadow) hostSet(addr, n uint64, t bool) {
+	r.each(addr, n, func(u uint64) { r.mem[u] = refUnit{taint: t} })
+}
+
+func (r *refShadow) hostWrite(tags *taint.Space, addr, n uint64) {
+	r.each(addr, n, func(u uint64) {
+		mu := r.mem[u]
+		if mu.hidden {
+			if bit, err := tags.PeekUnit(u); err == nil {
+				mu = refUnit{taint: bit}
+			}
+		}
+		r.mem[u] = mu
+	})
+}
+
+// sweep is the per-unit sweep: sort every non-hidden unit, peek each.
+func (r *refShadow) sweep(tags *taint.Space) (d *oracle.Divergence, checks uint64) {
+	var units []uint64
+	for u, mu := range r.mem {
+		if !mu.hidden {
+			units = append(units, u)
+		}
+	}
+	sort.Slice(units, func(i, j int) bool { return units[i] < units[j] })
+	for _, u := range units {
+		bit, err := tags.PeekUnit(u)
+		if err != nil {
+			continue
+		}
+		checks++
+		if sh := r.mem[u].taint; bit != sh {
+			return &oracle.Divergence{Kind: oracle.DivBitmap, Addr: u, Machine: bit, Shadow: sh}, checks
+		}
+	}
+	return nil, checks
+}
+
+// The word-wise sweep over the paged shadow must report exactly what the
+// per-unit map sweep reports. Seeded random shadows mix units crossing
+// word and page boundaries, hidden units, units the bitmap cannot
+// represent (unimplemented bits, and a region-0 bound cutting through a
+// tag group) and 0-3 bitmap bits flipped under known units.
+func TestPipelineSweepMatchesPerUnit(t *testing.T) {
+	for _, g := range []taint.Granularity{taint.Byte, taint.Word} {
+		ub := g.UnitBytes()
+		anchors := []uint64{
+			mem.Addr(2, 0x40000),                // page boundary
+			mem.Addr(2, 0x40000+64*ub),          // word boundary
+			mem.Addr(2, 0x40000+3*pageUnits*ub), // a later page
+			mem.Addr(3, 0x1000),                 // another region
+			mem.Addr(3, 0) | 1<<40,              // unimplemented bits
+		}
+		for seed := int64(1); seed <= 150; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			m, tags := buildMachine(t, []isa.Instruction{{Op: isa.OpNop}}, g)
+			m.Mem.MapRegion(3, 0)
+			st := newState(Config{Tags: tags, Instrumented: true})
+			ref := &refShadow{unit: ub, mem: make(map[uint64]refUnit)}
+			addr := func() uint64 {
+				a := anchors[rng.Intn(len(anchors))]
+				return a + uint64(rng.Intn(300))*ub - 150*ub + uint64(rng.Intn(int(ub)))
+			}
+			for op := 0; op < 60; op++ {
+				switch rng.Intn(4) {
+				case 0, 1:
+					size := 1 << rng.Intn(4)
+					a := addr() &^ uint64(size-1)
+					tnt, auth := rng.Intn(2) == 0, rng.Intn(3) != 0
+					st.setMem(a, size, tnt, auth)
+					ref.setMem(a, size, tnt, auth)
+				case 2:
+					a, n, tnt := addr(), uint64(1+rng.Intn(200)), rng.Intn(2) == 0
+					st.hostSet(a, n, tnt)
+					ref.hostSet(a, n, tnt)
+				default:
+					a, n := addr(), uint64(1+rng.Intn(200))
+					if rng.Intn(2) == 0 { // give hidden units a bit to adopt
+						_ = tags.SetRange(a, n)
+					}
+					st.hostWrite(tags, a, n)
+					ref.hostWrite(tags, a, n)
+				}
+			}
+			got := knownUnits(st)
+			if len(got) != len(ref.mem) {
+				t.Fatalf("%v seed %d: %d known units, reference %d", g, seed, len(got), len(ref.mem))
+			}
+			var known []uint64
+			for u, mu := range ref.mem {
+				if got[u] != mu {
+					t.Fatalf("%v seed %d: unit %#x = %+v, reference %+v", g, seed, u, got[u], mu)
+				}
+				known = append(known, u)
+			}
+			sort.Slice(known, func(i, j int) bool { return known[i] < known[j] })
+			// A bitmap that agrees with the shadow, then 0-3 flips.
+			for _, u := range known {
+				if ref.mem[u].taint {
+					_ = tags.SetRange(u, ub)
+				} else {
+					_ = tags.ClearRange(u, ub)
+				}
+			}
+			for f := rng.Intn(4); f > 0 && len(known) > 0; f-- {
+				u := known[rng.Intn(len(known))]
+				if bit, err := tags.PeekUnit(u); err == nil {
+					if bit {
+						_ = tags.ClearRange(u, ub)
+					} else {
+						_ = tags.SetRange(u, ub)
+					}
+				}
+			}
+			if seed%3 == 0 && len(known) > 0 {
+				// Bound region 0 inside some known unit's tag group.
+				tb, _ := g.TagAddr(known[rng.Intn(len(known))])
+				m.Mem.MapRegion(0, mem.Offset(tb)+uint64(rng.Intn(8)))
+			}
+			var stats Stats
+			d := st.sweep(tags, m, "test", &stats)
+			want, checks := ref.sweep(tags)
+			if (d == nil) != (want == nil) {
+				t.Fatalf("%v seed %d: sweep = %v, reference %v", g, seed, d, want)
+			}
+			if d != nil && (d.Kind != want.Kind || d.Addr != want.Addr || d.Machine != want.Machine || d.Shadow != want.Shadow) {
+				t.Fatalf("%v seed %d: sweep reports %#x machine=%v shadow=%v, reference %#x machine=%v shadow=%v",
+					g, seed, d.Addr, d.Machine, d.Shadow, want.Addr, want.Machine, want.Shadow)
+			}
+			if got := stats.UnitChecks.Load(); got != checks {
+				t.Fatalf("%v seed %d: %d unit checks, reference %d", g, seed, got, checks)
+			}
+		}
+	}
+}
+
 // Where the batch is applied must not matter: the same record stream
 // drained at seeded random points and drained once at the end leaves the
 // same shadow state, and the counters account for every flush.
@@ -336,8 +514,28 @@ func makeRandomRecs(n int, seed int64) []rec {
 	return recs
 }
 
+// knownUnits flattens a paged shadow into the per-unit reference form:
+// every known unit, by address.
+func knownUnits(st *state) map[uint64]refUnit {
+	out := make(map[uint64]refUnit)
+	for _, kp := range st.sorted {
+		for w, known := range kp.pg.known {
+			for rest := known; rest != 0; rest &= rest - 1 {
+				i := bits.TrailingZeros64(rest)
+				u := (kp.key<<pageShift | uint64(w)<<6 | uint64(i)) << st.shift
+				out[u] = refUnit{
+					taint:  kp.pg.taint[w]>>i&1 != 0,
+					hidden: kp.pg.hidden[w]>>i&1 != 0,
+				}
+			}
+		}
+	}
+	return out
+}
+
 // compareStates asserts two shadow states are identical over every
-// thread and every tracked unit.
+// thread and every unit: the same units known, with the same taint and
+// hidden bits.
 func compareStates(t *testing.T, a, b *state) {
 	t.Helper()
 	for tid, ra := range a.threads {
@@ -351,18 +549,15 @@ func compareStates(t *testing.T, a, b *state) {
 			t.Fatalf("tid %d: shadow only in one state", tid)
 		}
 	}
-	seen := make(map[uint64]bool)
-	for u, ma := range a.mem {
-		seen[u] = true
-		if mb := b.mem[u]; ma.taint != mb.taint || ma.hidden != mb.hidden {
-			t.Fatalf("unit %#x: %+v vs %+v", u, ma, b.mem[u])
+	ua, ub := knownUnits(a), knownUnits(b)
+	for u, ma := range ua {
+		if mb, ok := ub[u]; !ok || ma != mb {
+			t.Fatalf("unit %#x: %+v vs %+v (known in second: %v)", u, ma, mb, ok)
 		}
 	}
-	for u, mb := range b.mem {
-		if !seen[u] {
-			if ma := a.mem[u]; ma.taint != mb.taint || ma.hidden != mb.hidden {
-				t.Fatalf("unit %#x: only tracked in one state (%+v)", u, mb)
-			}
+	for u, mb := range ub {
+		if _, ok := ua[u]; !ok {
+			t.Fatalf("unit %#x: only known in the second state (%+v)", u, mb)
 		}
 	}
 }

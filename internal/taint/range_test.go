@@ -117,6 +117,72 @@ func TestPeekUnit(t *testing.T) {
 	}
 }
 
+// checkGroup asserts PeekGroup(addr) equals 64 PeekUnit calls over the
+// group containing addr: when it reads, every unit must read the same
+// bit; when it refuses, some unit must be unreadable.
+func checkGroup(t *testing.T, s *Space, addr uint64) {
+	t.Helper()
+	unit := s.Gran.UnitBytes()
+	base := addr &^ (GroupUnits*unit - 1)
+	got, ok := s.PeekGroup(addr)
+	var want uint64
+	readable := true
+	for i := uint64(0); i < GroupUnits; i++ {
+		bit, err := s.PeekUnit(base + i*unit)
+		if err != nil {
+			readable = false
+			continue
+		}
+		if bit {
+			want |= 1 << i
+		}
+	}
+	if ok && (!readable || got != want) {
+		t.Fatalf("%v: PeekGroup(%#x) = %#x, PeekUnit gives %#x (all readable: %v)", s.Gran, addr, got, want, readable)
+	}
+	if !ok && readable {
+		t.Fatalf("%v: PeekGroup(%#x) refused a group PeekUnit reads in full", s.Gran, addr)
+	}
+}
+
+// PeekGroup must equal 64 PeekUnit calls: on groups with scattered
+// taint, on a tag page never written (all zero), and at an address with
+// unimplemented bits (refused). Like PeekUnit it leaves the cache model
+// alone.
+func TestPeekGroup(t *testing.T) {
+	for _, g := range []Granularity{Byte, Word} {
+		s := newFullSpace(g)
+		s.Mem.Cache = mem.NewCache(16*1024, 64)
+		unit := g.UnitBytes()
+		base := mem.Addr(3, 0x8000)
+		for i, n := range []uint64{1, 3, 9, 70} {
+			if err := s.SetRange(base+uint64(i*37)*unit+uint64(i), n); err != nil {
+				t.Fatal(err)
+			}
+		}
+		hits, misses := s.Mem.Cache.Hits, s.Mem.Cache.Misses
+		for a := base; a < base+4*GroupUnits*unit; a += GroupUnits * unit / 2 {
+			checkGroup(t, s, a)
+		}
+		if bits, ok := s.PeekGroup(base); !ok || bits == 0 {
+			t.Errorf("%v: PeekGroup of a tainted group = %#x, %v", g, bits, ok)
+		}
+		far := mem.Addr(5, 0x8_0000_0000) // its tag page was never written
+		if bits, ok := s.PeekGroup(far); !ok || bits != 0 {
+			t.Errorf("%v: PeekGroup of a never-written tag page = %#x, %v; want 0, true", g, bits, ok)
+		}
+		checkGroup(t, s, far)
+		if s.Mem.Cache.Hits != hits || s.Mem.Cache.Misses != misses {
+			t.Errorf("%v: PeekGroup perturbed the cache model", g)
+		}
+		bad := mem.Addr(3, 0) | 1<<45
+		if _, ok := s.PeekGroup(bad); ok {
+			t.Errorf("%v: PeekGroup with unimplemented bits succeeded", g)
+		}
+		checkGroup(t, s, bad)
+	}
+}
+
 // FuzzTagRanges drives SetRange/ClearRange/Tainted/CountTainted with
 // arbitrary ranges: no call may panic, valid updates must read back, and
 // invalid ranges must leave the bitmap untouched.
@@ -154,6 +220,8 @@ func FuzzTagRanges(f *testing.F) {
 			t.Fatalf("empty SetRange(%#x, 0) tainted something", addr)
 		}
 		if n > 0 {
+			checkGroup(t, s, addr)
+			checkGroup(t, s, addr+n-1)
 			unit := s.Gran.UnitBytes()
 			wantUnits := (addr+n-1)/unit - addr/unit + 1
 			if c, err := s.CountTainted(addr, n); err != nil || c != wantUnits {
@@ -165,6 +233,7 @@ func FuzzTagRanges(f *testing.F) {
 			if tainted, _ := s.Tainted(addr, n); tainted {
 				t.Fatalf("ClearRange(%#x, %d) left taint", addr, n)
 			}
+			checkGroup(t, s, addr)
 		}
 	})
 }

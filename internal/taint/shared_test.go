@@ -119,3 +119,61 @@ func TestSharedSpaceConcurrentReaders(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// PeekGroup on a shared Space equals 64 PeekUnit calls, and reads a
+// group under its shard locks while writers churn the neighbouring
+// group's tag bytes (run under -race, this checks the locking).
+func TestSharedSpacePeekGroup(t *testing.T) {
+	for _, g := range []Granularity{Byte, Word} {
+		t.Run(g.String(), func(t *testing.T) {
+			m := mem.New()
+			m.MapRegion(2, 0)
+			s := NewSpace(m, g).Share()
+			span := GroupUnits * g.UnitBytes()
+			base := mem.Addr(2, 0x4000)
+			for i := uint64(0); i < GroupUnits; i += 3 {
+				if err := s.SetRange(base+i*g.UnitBytes(), 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			checkGroup(t, s, base)
+			want, ok := s.PeekGroup(base)
+			if !ok || want == 0 {
+				t.Fatalf("PeekGroup = %#x, %v", want, ok)
+			}
+
+			var wg sync.WaitGroup
+			stop := make(chan struct{})
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if got, ok := s.PeekGroup(base); !ok || got != want {
+						t.Errorf("PeekGroup = %#x, %v; want %#x", got, ok, want)
+						return
+					}
+					if _, ok := s.PeekGroup(base + span); !ok {
+						t.Error("PeekGroup of the churned group refused")
+						return
+					}
+				}
+			}()
+			for i := 0; i < 500; i++ {
+				if err := s.SetRange(base+span, span); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.ClearRange(base+span, span); err != nil {
+					t.Fatal(err)
+				}
+			}
+			close(stop)
+			wg.Wait()
+			checkGroup(t, s, base+span)
+		})
+	}
+}

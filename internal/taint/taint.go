@@ -10,6 +10,7 @@
 package taint
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -430,6 +431,56 @@ func (s *Space) PeekUnit(addr uint64) (bool, error) {
 		return false, fmt.Errorf("taint: reading tag byte for %#x: %w", addr, f)
 	}
 	return v>>bit&1 != 0, nil
+}
+
+// GroupUnits is the number of tracked units PeekGroup reads at once.
+const GroupUnits = 64
+
+// PeekGroup returns the tag bits of the GroupUnits tracked units starting
+// at addr aligned down to a group (64 bytes at byte granularity, 512 at
+// word granularity): bit i is what PeekUnit reports for unit i. It reads
+// the group's 8 tag bytes (byte level) or bit 0 of its 64 tag bytes (word
+// level) with one lookup, under the same no-cache-model rules as
+// PeekUnit, and under the group's shard locks when the Space is shared.
+// ok is false when the group cannot be read that way (unimplemented
+// address bits, a region bound, a fault); callers then fall back to
+// PeekUnit per unit.
+func (s *Space) PeekGroup(addr uint64) (bits uint64, ok bool) {
+	if !mem.Implemented(addr) {
+		return 0, false
+	}
+	tb, _ := s.Gran.TagAddr(addr &^ (GroupUnits*s.Gran.UnitBytes() - 1))
+	var buf [GroupUnits]byte
+	tags := buf[:GroupUnits/8]
+	if s.Gran.WholeByte() {
+		tags = buf[:]
+	}
+	if s.shards != nil {
+		// The group's tag bytes are whole, consecutive bitmap words, so
+		// its shard locks are consecutive too and never wrap: taking them
+		// in index order keeps the order Clear uses.
+		first := (tb >> dropBits) % tagShards
+		for i := first; i < first+uint64(len(tags))>>dropBits; i++ {
+			s.shards[i].Lock()
+			defer s.shards[i].Unlock()
+		}
+		for i := range tags {
+			v, f := s.Mem.SharedPeek1(tb + uint64(i))
+			if f != nil {
+				return 0, false
+			}
+			tags[i] = v
+		}
+	} else if !s.Mem.PeekBlock(tb, tags) {
+		return 0, false
+	}
+	if !s.Gran.WholeByte() {
+		return binary.LittleEndian.Uint64(tags), true
+	}
+	for i, v := range tags {
+		bits |= uint64(v&1) << i
+	}
+	return bits, true
 }
 
 // TaintedBytes returns, for each byte of [addr, addr+n), whether its
