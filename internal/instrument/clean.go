@@ -53,27 +53,23 @@ func (t *cleanTracker) step(ins *isa.Instruction) {
 		t.clean[r] = v
 	}
 
-	switch ins.Op {
-	case isa.OpMovl:
+	switch ins.Flow() {
+	case isa.FlowClear, isa.FlowClrNat:
 		set(ins.Dest, true)
-	case isa.OpMov:
+	case isa.FlowCopy:
 		set(ins.Dest, t.clean[ins.Src1])
-	case isa.OpAdd, isa.OpSub, isa.OpAnd, isa.OpAndcm, isa.OpOr, isa.OpXor,
-		isa.OpShl, isa.OpShr, isa.OpSar, isa.OpMul, isa.OpDiv, isa.OpRem:
-		// The self-clearing idioms produce a clean zero (§3.2).
-		if ins.Src1 == ins.Src2 && (ins.Op == isa.OpXor || ins.Op == isa.OpSub) {
-			set(ins.Dest, true)
-			return
-		}
+	case isa.FlowUnion:
 		set(ins.Dest, t.clean[ins.Src1] && t.clean[ins.Src2])
-	case isa.OpAddi, isa.OpAndi, isa.OpOri, isa.OpXori, isa.OpShli, isa.OpShri, isa.OpSari:
-		set(ins.Dest, t.clean[ins.Src1])
-	case isa.OpMovFromBr, isa.OpMovFromUnat, isa.OpClrNat:
-		set(ins.Dest, true)
-	case isa.OpLd, isa.OpLdS, isa.OpLdFill, isa.OpCmpxchg, isa.OpSetNat:
+	case isa.FlowLoad, isa.FlowLoadSpec, isa.FlowFill, isa.FlowCmpxchg, isa.FlowSetNat:
 		set(ins.Dest, false)
-	case isa.OpBrCall, isa.OpSyscall:
-		// The callee (or OS model) may write any register.
-		t.reset()
+	case isa.FlowCcvGet:
+		// Left untouched: ar.ccv is clean (mov.toccv faults on NaT), so
+		// the old fact stays sound; marking the register clean instead
+		// would change which compares the pass relaxes.
+	case isa.FlowNone:
+		if ins.Op == isa.OpBrCall || ins.Op == isa.OpSyscall {
+			// The callee (or OS model) may write any register.
+			t.reset()
+		}
 	}
 }

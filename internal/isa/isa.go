@@ -239,6 +239,72 @@ type Instruction struct {
 	Sym string
 }
 
+// Flow is an opcode's taint-transfer kind: how the instruction moves
+// taint (under SHIFT, the NaT bit) from its inputs to what it writes.
+// It is the one statement of the propagation rules; the lockstep oracle,
+// the decoupled tag pipeline, the reachability analysis, the contract
+// checker's NaT dataflow and the instrumentation pass's clean-compare
+// tracker each switch on it and read each kind in their own terms. The
+// machine does not consult it: it is the independent hardware model the
+// checkers hold the table against.
+type Flow uint8
+
+// Transfer kinds. The zero value is no kind: every opcode names its own
+// in opTable, so a forgotten entry shows up in the isa tests.
+const (
+	// FlowNone: no taint flows and no general register is written —
+	// compares, tnat, branches, chk.s, nop, mov.tobr, mov.tounat. The
+	// syscall is FlowNone too: its r8 rule belongs to the OS boundary,
+	// which every consumer handles on its own.
+	FlowNone Flow = iota + 1
+	// FlowUnion: dest's taint becomes taint(src1) | taint(src2), the
+	// two-source ALU ops. xor and sub with src1 == src2 are the
+	// self-clearing idioms of paper §3.2: Instruction.Flow resolves them
+	// to FlowClear.
+	FlowUnion
+	// FlowCopy: dest's taint becomes taint(src1) — the immediate ALU
+	// forms and mov.
+	FlowCopy
+	// FlowClear: dest is clean — movl, the self-clearing xor/sub idiom,
+	// mov.frombr (branch registers never hold tainted data: mov.tobr
+	// faults on NaT) and mov.fromunat (UNAT is tag metadata, not data).
+	FlowClear
+	// FlowLoad: a plain load; dest's taint is the OR over the accessed
+	// units. The machine always clears dest's NaT bit — the stripping
+	// behaviour SHIFT launders with (§4.1), which checkers assert.
+	FlowLoad
+	// FlowLoadSpec: ld.s; as FlowLoad, except that a deferred access
+	// manufactures a NaT token instead of data, and SHIFT's one-bit
+	// encoding cannot tell that token apart from taint: it counts as
+	// taint.
+	FlowLoadSpec
+	// FlowFill: ld8.fill; taint comes straight from the spilled 8-byte
+	// unit, while the NaT bit comes from UNAT.
+	FlowFill
+	// FlowStore: st and st8.spill; the accessed units take taint(src2).
+	FlowStore
+	// FlowCmpxchg: a load of the old value and, when the compare
+	// succeeds, a store of the new one: dest takes the location's old
+	// taint, and a committed exchange stores taint(src2) into the units.
+	// The machine clears dest's NaT bit as for a plain load.
+	FlowCmpxchg
+	// FlowCcvSet: mov.toccv; ar.ccv's taint becomes taint(src1).
+	FlowCcvSet
+	// FlowCcvGet: mov.fromccv; dest's taint becomes ar.ccv's.
+	FlowCcvGet
+	// FlowSetNat / FlowClrNat: setnat and clrnat set or clear dest's NaT
+	// bit, value preserved. No data flows.
+	FlowSetNat
+	FlowClrNat
+)
+
+// NaT-fault sources: the source registers a non-speculative op faults
+// on when they carry NaT (paper §2.2: improper uses of the token trap).
+const (
+	natFault1 uint8 = 1 << iota // Src1
+	natFault2                   // Src2
+)
+
 // opInfo describes static properties of each opcode.
 type opInfo struct {
 	name     string
@@ -248,57 +314,61 @@ type opInfo struct {
 	isImm    bool // uses Imm as an operand
 	isMem    bool
 	isBranch bool
+
+	flow      Flow
+	selfClear bool  // src1 == src2 clears the destination (§3.2)
+	natFaults uint8 // natFault1 | natFault2
 }
 
 var opTable = [NumOpcodes]opInfo{
-	OpInvalid:     {name: "invalid"},
-	OpAdd:         {name: "add", hasDest: true, reads1: true, reads2: true},
-	OpSub:         {name: "sub", hasDest: true, reads1: true, reads2: true},
-	OpAnd:         {name: "and", hasDest: true, reads1: true, reads2: true},
-	OpAndcm:       {name: "andcm", hasDest: true, reads1: true, reads2: true},
-	OpOr:          {name: "or", hasDest: true, reads1: true, reads2: true},
-	OpXor:         {name: "xor", hasDest: true, reads1: true, reads2: true},
-	OpShl:         {name: "shl", hasDest: true, reads1: true, reads2: true},
-	OpShr:         {name: "shr", hasDest: true, reads1: true, reads2: true},
-	OpSar:         {name: "sar", hasDest: true, reads1: true, reads2: true},
-	OpMul:         {name: "mul", hasDest: true, reads1: true, reads2: true},
-	OpDiv:         {name: "div", hasDest: true, reads1: true, reads2: true},
-	OpRem:         {name: "rem", hasDest: true, reads1: true, reads2: true},
-	OpAddi:        {name: "addi", hasDest: true, reads1: true, isImm: true},
-	OpAndi:        {name: "andi", hasDest: true, reads1: true, isImm: true},
-	OpOri:         {name: "ori", hasDest: true, reads1: true, isImm: true},
-	OpXori:        {name: "xori", hasDest: true, reads1: true, isImm: true},
-	OpShli:        {name: "shli", hasDest: true, reads1: true, isImm: true},
-	OpShri:        {name: "shri", hasDest: true, reads1: true, isImm: true},
-	OpSari:        {name: "sari", hasDest: true, reads1: true, isImm: true},
-	OpMov:         {name: "mov", hasDest: true, reads1: true},
-	OpMovl:        {name: "movl", hasDest: true, isImm: true},
-	OpCmp:         {name: "cmp", reads1: true, reads2: true},
-	OpCmpi:        {name: "cmpi", reads1: true, isImm: true},
-	OpCmpNa:       {name: "cmp.na", reads1: true, reads2: true},
-	OpCmpiNa:      {name: "cmpi.na", reads1: true, isImm: true},
-	OpTnat:        {name: "tnat", reads1: true},
-	OpLd:          {name: "ld", hasDest: true, reads1: true, isMem: true},
-	OpLdS:         {name: "ld.s", hasDest: true, reads1: true, isMem: true},
-	OpLdFill:      {name: "ld8.fill", hasDest: true, reads1: true, isMem: true, isImm: true},
-	OpSt:          {name: "st", reads1: true, reads2: true, isMem: true},
-	OpStSpill:     {name: "st8.spill", reads1: true, reads2: true, isMem: true, isImm: true},
-	OpChkS:        {name: "chk.s", reads1: true, isBranch: true},
-	OpBr:          {name: "br", isBranch: true},
-	OpBrCall:      {name: "br.call", isBranch: true},
-	OpBrRet:       {name: "br.ret", isBranch: true},
-	OpBrInd:       {name: "br.ind", isBranch: true},
-	OpMovToBr:     {name: "mov.tobr", reads1: true},
-	OpMovFromBr:   {name: "mov.frombr", hasDest: true},
-	OpMovToUnat:   {name: "mov.tounat", reads1: true},
-	OpMovFromUnat: {name: "mov.fromunat", hasDest: true},
-	OpMovToCcv:    {name: "mov.toccv", reads1: true},
-	OpMovFromCcv:  {name: "mov.fromccv", hasDest: true},
-	OpCmpxchg:     {name: "cmpxchg", hasDest: true, reads1: true, reads2: true, isMem: true},
-	OpSetNat:      {name: "setnat", hasDest: true},
-	OpClrNat:      {name: "clrnat", hasDest: true},
-	OpSyscall:     {name: "syscall", isImm: true},
-	OpNop:         {name: "nop"},
+	OpInvalid:     {name: "invalid", flow: FlowNone},
+	OpAdd:         {name: "add", hasDest: true, reads1: true, reads2: true, flow: FlowUnion},
+	OpSub:         {name: "sub", hasDest: true, reads1: true, reads2: true, flow: FlowUnion, selfClear: true},
+	OpAnd:         {name: "and", hasDest: true, reads1: true, reads2: true, flow: FlowUnion},
+	OpAndcm:       {name: "andcm", hasDest: true, reads1: true, reads2: true, flow: FlowUnion},
+	OpOr:          {name: "or", hasDest: true, reads1: true, reads2: true, flow: FlowUnion},
+	OpXor:         {name: "xor", hasDest: true, reads1: true, reads2: true, flow: FlowUnion, selfClear: true},
+	OpShl:         {name: "shl", hasDest: true, reads1: true, reads2: true, flow: FlowUnion},
+	OpShr:         {name: "shr", hasDest: true, reads1: true, reads2: true, flow: FlowUnion},
+	OpSar:         {name: "sar", hasDest: true, reads1: true, reads2: true, flow: FlowUnion},
+	OpMul:         {name: "mul", hasDest: true, reads1: true, reads2: true, flow: FlowUnion},
+	OpDiv:         {name: "div", hasDest: true, reads1: true, reads2: true, flow: FlowUnion},
+	OpRem:         {name: "rem", hasDest: true, reads1: true, reads2: true, flow: FlowUnion},
+	OpAddi:        {name: "addi", hasDest: true, reads1: true, isImm: true, flow: FlowCopy},
+	OpAndi:        {name: "andi", hasDest: true, reads1: true, isImm: true, flow: FlowCopy},
+	OpOri:         {name: "ori", hasDest: true, reads1: true, isImm: true, flow: FlowCopy},
+	OpXori:        {name: "xori", hasDest: true, reads1: true, isImm: true, flow: FlowCopy},
+	OpShli:        {name: "shli", hasDest: true, reads1: true, isImm: true, flow: FlowCopy},
+	OpShri:        {name: "shri", hasDest: true, reads1: true, isImm: true, flow: FlowCopy},
+	OpSari:        {name: "sari", hasDest: true, reads1: true, isImm: true, flow: FlowCopy},
+	OpMov:         {name: "mov", hasDest: true, reads1: true, flow: FlowCopy},
+	OpMovl:        {name: "movl", hasDest: true, isImm: true, flow: FlowClear},
+	OpCmp:         {name: "cmp", reads1: true, reads2: true, flow: FlowNone},
+	OpCmpi:        {name: "cmpi", reads1: true, isImm: true, flow: FlowNone},
+	OpCmpNa:       {name: "cmp.na", reads1: true, reads2: true, flow: FlowNone},
+	OpCmpiNa:      {name: "cmpi.na", reads1: true, isImm: true, flow: FlowNone},
+	OpTnat:        {name: "tnat", reads1: true, flow: FlowNone},
+	OpLd:          {name: "ld", hasDest: true, reads1: true, isMem: true, flow: FlowLoad, natFaults: natFault1},
+	OpLdS:         {name: "ld.s", hasDest: true, reads1: true, isMem: true, flow: FlowLoadSpec},
+	OpLdFill:      {name: "ld8.fill", hasDest: true, reads1: true, isMem: true, isImm: true, flow: FlowFill, natFaults: natFault1},
+	OpSt:          {name: "st", reads1: true, reads2: true, isMem: true, flow: FlowStore, natFaults: natFault1 | natFault2},
+	OpStSpill:     {name: "st8.spill", reads1: true, reads2: true, isMem: true, isImm: true, flow: FlowStore, natFaults: natFault1},
+	OpChkS:        {name: "chk.s", reads1: true, isBranch: true, flow: FlowNone},
+	OpBr:          {name: "br", isBranch: true, flow: FlowNone},
+	OpBrCall:      {name: "br.call", isBranch: true, flow: FlowNone},
+	OpBrRet:       {name: "br.ret", isBranch: true, flow: FlowNone},
+	OpBrInd:       {name: "br.ind", isBranch: true, flow: FlowNone},
+	OpMovToBr:     {name: "mov.tobr", reads1: true, flow: FlowNone, natFaults: natFault1},
+	OpMovFromBr:   {name: "mov.frombr", hasDest: true, flow: FlowClear},
+	OpMovToUnat:   {name: "mov.tounat", reads1: true, flow: FlowNone, natFaults: natFault1},
+	OpMovFromUnat: {name: "mov.fromunat", hasDest: true, flow: FlowClear},
+	OpMovToCcv:    {name: "mov.toccv", reads1: true, flow: FlowCcvSet, natFaults: natFault1},
+	OpMovFromCcv:  {name: "mov.fromccv", hasDest: true, flow: FlowCcvGet},
+	OpCmpxchg:     {name: "cmpxchg", hasDest: true, reads1: true, reads2: true, isMem: true, flow: FlowCmpxchg, natFaults: natFault1 | natFault2},
+	OpSetNat:      {name: "setnat", hasDest: true, flow: FlowSetNat},
+	OpClrNat:      {name: "clrnat", hasDest: true, flow: FlowClrNat},
+	OpSyscall:     {name: "syscall", isImm: true, flow: FlowNone},
+	OpNop:         {name: "nop", flow: FlowNone},
 }
 
 // HasDest reports whether op writes a destination general register.
@@ -309,6 +379,35 @@ func (op Opcode) ReadsSrc1() bool { return opTable[op].reads1 }
 
 // ReadsSrc2 reports whether op reads the Src2 general register.
 func (op Opcode) ReadsSrc2() bool { return opTable[op].reads2 }
+
+// NaTFaults reports which sources the non-speculative op faults on
+// when they carry NaT: the address of ld, ld8.fill and st8.spill, the
+// address and data of st and cmpxchg, and the source of the moves into
+// br, unat and ccv. Code after an unpredicated one of these sees those
+// registers clean.
+func (op Opcode) NaTFaults() (src1, src2 bool) {
+	f := opTable[op].natFaults
+	return f&natFault1 != 0, f&natFault2 != 0
+}
+
+// Flow returns the instruction's taint-transfer kind, resolving the
+// xor/sub self-clearing idiom (src1 == src2) to FlowClear.
+func (i *Instruction) Flow() Flow {
+	info := &opTable[i.Op]
+	if info.selfClear && i.Src1 == i.Src2 {
+		return FlowClear
+	}
+	return info.flow
+}
+
+// AccessSize returns the number of bytes a memory instruction touches:
+// Size, except for ld8.fill and st8.spill, which always move 8.
+func (i *Instruction) AccessSize() int {
+	if i.Op == OpLdFill || i.Op == OpStSpill {
+		return 8
+	}
+	return int(i.Size)
+}
 
 // Name returns the mnemonic for the opcode.
 func (op Opcode) Name() string {

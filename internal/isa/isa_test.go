@@ -164,3 +164,56 @@ func TestStringStable(t *testing.T) {
 		}
 	}
 }
+
+// TestFlowTableComplete pins the taint-transfer columns of opTable:
+// every opcode names its kind explicitly, exactly the opcodes that
+// write a destination register have a register-writing kind, only
+// xor and sub carry the self-clearing idiom, and a NaT-fault source is
+// always a source the opcode reads.
+func TestFlowTableComplete(t *testing.T) {
+	writesDest := map[Flow]bool{
+		FlowUnion: true, FlowCopy: true, FlowClear: true, FlowLoad: true,
+		FlowLoadSpec: true, FlowFill: true, FlowCmpxchg: true,
+		FlowCcvGet: true, FlowSetNat: true, FlowClrNat: true,
+	}
+	for op := OpInvalid; op < NumOpcodes; op++ {
+		info := opTable[op]
+		if info.flow == 0 {
+			t.Errorf("%s: no transfer kind in opTable", op.Name())
+			continue
+		}
+		if info.flow > FlowClrNat {
+			t.Errorf("%s: transfer kind %d out of range", op.Name(), info.flow)
+		}
+		if op.HasDest() != writesDest[info.flow] {
+			t.Errorf("%s: hasDest=%v but kind %d writes a register: %v",
+				op.Name(), op.HasDest(), info.flow, writesDest[info.flow])
+		}
+		if info.selfClear != (op == OpXor || op == OpSub) {
+			t.Errorf("%s: selfClear=%v", op.Name(), info.selfClear)
+		}
+		f1, f2 := op.NaTFaults()
+		if (f1 && !op.ReadsSrc1()) || (f2 && !op.ReadsSrc2()) {
+			t.Errorf("%s: faults on a source it does not read", op.Name())
+		}
+	}
+}
+
+// TestFlowSelfIdiom checks that Instruction.Flow resolves the xor/sub
+// self-clearing idiom, and only that.
+func TestFlowSelfIdiom(t *testing.T) {
+	for op := OpInvalid + 1; op < NumOpcodes; op++ {
+		same := Instruction{Op: op, Dest: 3, Src1: 5, Src2: 5}
+		diff := Instruction{Op: op, Dest: 3, Src1: 5, Src2: 6}
+		want := opTable[op].flow
+		if op == OpXor || op == OpSub {
+			want = FlowClear
+		}
+		if got := same.Flow(); got != want {
+			t.Errorf("%s r3 = r5, r5: Flow() = %d, want %d", op.Name(), got, want)
+		}
+		if got := diff.Flow(); got != opTable[op].flow {
+			t.Errorf("%s r3 = r5, r6: Flow() = %d, want %d", op.Name(), got, opTable[op].flow)
+		}
+	}
+}

@@ -53,14 +53,8 @@ type regShadow struct {
 	taint [isa.NumGR]bool
 	// ccv is the shadow taint of the ar.ccv compare value.
 	ccv bool
-	// pre-state captured by PreStep for the instruction in flight.
-	squashed bool
-	addr     uint64
-	deferred bool
-	ccvPre   uint64
-	xchgOld  uint64 // memory word a cmpxchg saw (Dest may be r0)
-	r8       int64
-	r8NaT    bool
+	// pre is captured by PreStep for the instruction in flight.
+	pre Pre
 }
 
 // Stats counts the cross-checks performed, for reporting.

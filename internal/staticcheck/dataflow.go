@@ -78,25 +78,40 @@ const (
 	natProp2                  // propagates from Src1 | Src2
 )
 
+// natOf reads the instruction's transfer kind as a NaT effect.
 func natOf(ins *isa.Instruction) natEffect {
-	switch ins.Op {
-	case isa.OpMovl, isa.OpLd, isa.OpCmpxchg, isa.OpMovFromBr,
-		isa.OpMovFromUnat, isa.OpMovFromCcv, isa.OpClrNat:
+	switch ins.Flow() {
+	case isa.FlowClear, isa.FlowLoad, isa.FlowCmpxchg, isa.FlowCcvGet, isa.FlowClrNat:
+		// A plain load and cmpxchg strip NaT; ar.ccv never holds one
+		// (mov.toccv faults on it).
 		return natClean
-	case isa.OpLdS, isa.OpLdFill, isa.OpSetNat:
-		return natMaybe
-	case isa.OpMov, isa.OpAddi, isa.OpAndi, isa.OpOri, isa.OpXori,
-		isa.OpShli, isa.OpShri, isa.OpSari:
+	case isa.FlowCopy:
 		return natProp1
-	case isa.OpAdd, isa.OpSub, isa.OpAnd, isa.OpAndcm, isa.OpOr, isa.OpXor,
-		isa.OpShl, isa.OpShr, isa.OpSar, isa.OpMul, isa.OpDiv, isa.OpRem:
-		// The xor/sub self-idioms produce a clean zero (§3.2).
-		if ins.Src1 == ins.Src2 && (ins.Op == isa.OpXor || ins.Op == isa.OpSub) {
-			return natClean
-		}
+	case isa.FlowUnion:
 		return natProp2
+	case isa.FlowLoadSpec, isa.FlowFill, isa.FlowSetNat:
+		// ld.s may defer, ld8.fill restores its NaT bit from UNAT rather
+		// than from the spilled unit, and setnat sets it.
+		return natMaybe
 	}
-	return natMaybe
+	return natMaybe // unmodelled
+}
+
+// ClearNaTFaults clears from s the sources an unpredicated ins faults on
+// when they carry NaT (isa.Opcode.NaTFaults): code past it sees them
+// clean. The reachability analysis applies the same rule to its taint
+// set.
+func ClearNaTFaults(ins *isa.Instruction, s *RegSet) {
+	if ins.Qp != 0 {
+		return
+	}
+	f1, f2 := ins.Op.NaTFaults()
+	if f1 {
+		s.Clear(ins.Src1)
+	}
+	if f2 {
+		s.Clear(ins.Src2)
+	}
 }
 
 // cleanWrites recognises the block-local tnat-guarded clean idiom from
@@ -201,19 +216,7 @@ func (c *checker) transfer(pc int, in state) state {
 
 	// Non-speculative memory accesses and moves to special registers
 	// fault on a NaT input; code past them sees the register clean.
-	if ins.Qp == 0 {
-		switch ins.Op {
-		case isa.OpLd:
-			out.nat.Clear(ins.Src1)
-		case isa.OpSt, isa.OpCmpxchg:
-			out.nat.Clear(ins.Src1)
-			out.nat.Clear(ins.Src2)
-		case isa.OpStSpill, isa.OpLdFill:
-			out.nat.Clear(ins.Src1)
-		case isa.OpMovToBr, isa.OpMovToUnat, isa.OpMovToCcv:
-			out.nat.Clear(ins.Src1)
-		}
-	}
+	ClearNaTFaults(ins, &out.nat)
 
 	// UNAT effects.
 	if ins.Qp == 0 {

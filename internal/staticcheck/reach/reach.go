@@ -400,68 +400,55 @@ func (a *Analysis) transfer(pc int, in rstate) rstate {
 	// Non-speculative memory accesses and moves to special registers
 	// fault on a NaT input; the fallthrough sees those registers clean
 	// (same rule as the contract checker's NaT dataflow).
-	if ins.Qp == 0 {
-		switch ins.Op {
-		case isa.OpLd:
-			out.taint.Clear(ins.Src1)
-		case isa.OpSt, isa.OpCmpxchg:
-			out.taint.Clear(ins.Src1)
-			out.taint.Clear(ins.Src2)
-		case isa.OpStSpill, isa.OpLdFill:
-			out.taint.Clear(ins.Src1)
-		case isa.OpMovToBr, isa.OpMovToUnat, isa.OpMovToCcv:
-			out.taint.Clear(ins.Src1)
-		}
-	}
+	staticcheck.ClearNaTFaults(ins, &out.taint)
 
-	switch ins.Op {
-	case isa.OpSt, isa.OpStSpill:
+	switch ins.Flow() {
+	case isa.FlowStore:
 		// ABI register-preservation spills travel through UNAT, not the
 		// bitmap: full instrumentation leaves them alone, so they never
 		// change which locations the bitmap may mark.
 		if !ins.ABI {
 			a.storeEffect(in, ins.Src1, ins.Src2)
 		}
-	case isa.OpCmpxchg:
+	case isa.FlowCmpxchg:
 		a.storeEffect(in, ins.Src1, ins.Src2)
-	case isa.OpSyscall:
-		a.syscallEffect(&out, in, ins)
+	case isa.FlowNone:
+		if ins.Op == isa.OpSyscall {
+			a.syscallEffect(&out, in, ins)
+		}
 	}
 
 	if ins.Op.HasDest() && ins.Dest != isa.RegZero {
 		var t bool
 		var p uint64
-		switch ins.Op {
-		case isa.OpMovl:
-			t, p = false, a.objectsOf(uint64(ins.Imm))
-		case isa.OpMov, isa.OpAddi, isa.OpAndi, isa.OpOri, isa.OpXori,
-			isa.OpShli, isa.OpShri, isa.OpSari:
-			t, p = in.taint.Has(ins.Src1), in.ptr[ins.Src1]
-		case isa.OpAdd, isa.OpSub, isa.OpAnd, isa.OpAndcm, isa.OpOr, isa.OpXor,
-			isa.OpShl, isa.OpShr, isa.OpSar, isa.OpMul, isa.OpDiv, isa.OpRem:
-			if ins.Src1 == ins.Src2 && (ins.Op == isa.OpXor || ins.Op == isa.OpSub) {
-				t, p = false, 0 // self-idiom: clean zero
-			} else {
-				t = in.taint.Has(ins.Src1) || in.taint.Has(ins.Src2)
-				p1, p2 := in.ptr[ins.Src1], in.ptr[ins.Src2]
-				if p1 != 0 && p2 != 0 {
-					// Arithmetic over two pointer-carrying values is
-					// not an in-object offset; widen.
-					p = ptrUnknown
-				} else {
-					// Allocation-site rule: pointer ± scalar stays in
-					// its object.
-					p = p1 | p2
-				}
+		switch ins.Flow() {
+		case isa.FlowClear:
+			t = false
+			if ins.Op == isa.OpMovl {
+				// The immediate may be a data address.
+				p = a.objectsOf(uint64(ins.Imm))
 			}
-		case isa.OpLd, isa.OpLdS:
+		case isa.FlowCopy:
+			t, p = in.taint.Has(ins.Src1), in.ptr[ins.Src1]
+		case isa.FlowUnion:
+			t = in.taint.Has(ins.Src1) || in.taint.Has(ins.Src2)
+			p1, p2 := in.ptr[ins.Src1], in.ptr[ins.Src2]
+			if p1 != 0 && p2 != 0 {
+				// Arithmetic over two pointer-carrying values is not an
+				// in-object offset; widen.
+				p = ptrUnknown
+			} else {
+				// Allocation-site rule: pointer ± scalar stays in its
+				// object.
+				p = p1 | p2
+			}
+		case isa.FlowLoad, isa.FlowCmpxchg:
 			ap := in.ptr[ins.Src1]
 			t, p = a.memTaint(ap), a.loadPtr(ap)
-			if ins.Op == isa.OpLdS {
-				// A deferred fault sets NaT no bitmap consult removes.
-				t = true
-			}
-		case isa.OpLdFill:
+		case isa.FlowLoadSpec:
+			// A deferred fault sets NaT no bitmap consult removes.
+			t, p = true, a.loadPtr(in.ptr[ins.Src1])
+		case isa.FlowFill:
 			// The restored NaT comes from UNAT, not the bitmap: may be
 			// set regardless of the location's tags.
 			t = true
@@ -470,16 +457,13 @@ func (a *Analysis) transfer(pc int, in rstate) rstate {
 			} else {
 				p = a.loadPtr(in.ptr[ins.Src1])
 			}
-		case isa.OpCmpxchg:
-			ap := in.ptr[ins.Src1]
-			t, p = a.memTaint(ap), a.loadPtr(ap)
-		case isa.OpMovFromBr, isa.OpMovFromUnat:
-			t, p = false, 0
-		case isa.OpMovFromCcv:
+		case isa.FlowCcvGet:
+			// ar.ccv is clean (mov.toccv faults on NaT), but its value
+			// is not modelled: it may point anywhere.
 			t, p = false, ptrUnknown
-		case isa.OpSetNat:
+		case isa.FlowSetNat:
 			t, p = true, in.ptr[ins.Dest]
-		case isa.OpClrNat:
+		case isa.FlowClrNat:
 			t, p = false, in.ptr[ins.Dest]
 		default:
 			t, p = true, ptrUnknown // unmodelled destination: assume the worst
@@ -619,11 +603,11 @@ func (a *Analysis) decide() {
 		st := a.in[pc]
 		f := Fact{Live: st.live}
 		if st.live {
-			switch ins.Op {
-			case isa.OpLd, isa.OpLdS, isa.OpLdFill:
+			switch kind := ins.Flow(); kind {
+			case isa.FlowLoad, isa.FlowLoadSpec, isa.FlowFill:
 				f.AddrTaint = st.taint.Has(ins.Src1)
 				f.MemTaint = a.memTaint(st.ptr[ins.Src1])
-				if ins.Op == isa.OpLdS {
+				if kind == isa.FlowLoadSpec {
 					// A control-speculative load was hoisted above the
 					// branch that guards it — typically a bounds check.
 					// The points-to set's in-bounds assumption is exactly
@@ -633,18 +617,15 @@ func (a *Analysis) decide() {
 					// taint-free.
 					f.MemTaint = a.anySeed()
 				}
-			case isa.OpSt, isa.OpStSpill:
+			case isa.FlowStore, isa.FlowCmpxchg:
 				f.AddrTaint = st.taint.Has(ins.Src1)
 				f.MemTaint = a.memTaint(st.ptr[ins.Src1])
 				f.DataTaint = st.taint.Has(ins.Src2)
-			case isa.OpCmpxchg:
-				f.AddrTaint = st.taint.Has(ins.Src1)
-				f.MemTaint = a.memTaint(st.ptr[ins.Src1])
-				f.DataTaint = st.taint.Has(ins.Src2)
-			case isa.OpCmp, isa.OpCmpNa:
-				f.OpTaint = st.taint.Has(ins.Src1) || st.taint.Has(ins.Src2)
-			case isa.OpCmpi, isa.OpCmpiNa:
-				f.OpTaint = st.taint.Has(ins.Src1)
+			case isa.FlowNone:
+				if ins.Op.IsCompare() {
+					f.OpTaint = st.taint.Has(ins.Src1) ||
+						(ins.Op.ReadsSrc2() && st.taint.Has(ins.Src2))
+				}
 			}
 		}
 		a.facts[pc] = f

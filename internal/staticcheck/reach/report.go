@@ -35,18 +35,20 @@ type Stats struct {
 // siteKept reports whether the selective pass would instrument the site
 // at pc (false for non-sites).
 func (a *Analysis) siteKept(pc int) (site, kept bool) {
-	switch a.prog.Text[pc].Op {
-	case isa.OpLd, isa.OpLdS, isa.OpLdFill:
-		if a.prog.Text[pc].ABI {
+	ins := &a.prog.Text[pc]
+	switch ins.Flow() {
+	case isa.FlowLoad, isa.FlowLoadSpec, isa.FlowFill:
+		if ins.ABI {
 			return false, false
 		}
 		return true, a.InstrumentLoad(pc)
-	case isa.OpSt, isa.OpStSpill, isa.OpCmpxchg:
-		if a.prog.Text[pc].ABI {
+	case isa.FlowStore, isa.FlowCmpxchg:
+		if ins.ABI {
 			return false, false
 		}
 		return true, a.InstrumentStore(pc)
-	case isa.OpCmp, isa.OpCmpi:
+	}
+	if ins.Op == isa.OpCmp || ins.Op == isa.OpCmpi {
 		return true, a.RelaxCompare(pc)
 	}
 	return false, false

@@ -8,47 +8,10 @@ import (
 
 // The producer: machine.StepHook plus the shift package's host-effect
 // notifications. Everything here runs on the execution goroutine. The
-// mapping from opcodes to records mirrors oracle.PostStep rule for rule;
-// the difference is that the result is a 24-byte record in a batch
-// instead of an immediate shadow update.
-
-// PreStep captures the pre-state the record needs: effective addresses
-// and compare values may be overwritten by the instruction itself.
-func (p *Pipeline) PreStep(m *machine.Machine, ins *isa.Instruction) {
-	p.squashed = ins.Qp != 0 && !m.PR[ins.Qp]
-	if p.squashed {
-		return
-	}
-	switch ins.Op {
-	case isa.OpLd, isa.OpSt, isa.OpStSpill, isa.OpLdFill:
-		p.addr = uint64(m.GR[ins.Src1])
-	case isa.OpLdS:
-		p.addr = uint64(m.GR[ins.Src1])
-		// Recompute the defer decision independently of the machine,
-		// exactly as the oracle does.
-		p.deferred = m.NaT[ins.Src1] || m.Mem.CheckAccess(p.addr, int(ins.Size)) != nil
-	case isa.OpCmpxchg:
-		p.addr = uint64(m.GR[ins.Src1])
-		p.ccvPre = m.CCV
-		p.xchgOld = 0
-		for i := 0; i < int(ins.Size); i++ {
-			b, fault := m.Mem.Peek(p.addr + uint64(i))
-			if fault != nil {
-				break // the access will trap; PostStep never runs
-			}
-			p.xchgOld |= uint64(b) << (8 * i)
-		}
-	case isa.OpSyscall:
-		p.r8 = m.GR[isa.RegRet]
-		p.r8NaT = m.NaT[isa.RegRet]
-	}
-}
-
-// authoritative mirrors the oracle's rule for stores the instrumentation
-// pass follows with a tag-bitmap update.
-func (p *Pipeline) authoritative(ins *isa.Instruction) bool {
-	return p.cfg.Instrumented && !ins.ABI && ins.Class == isa.ClassOrig
-}
+// PreStep half is the embedded oracle.Pre's, which captures the
+// instruction's isa.Flow kind and pre-state; PostStep turns them into a
+// record. The oracle reads the same kind and pre-state, but updates its
+// shadow immediately instead of appending a record to the batch.
 
 // PostStep resolves the retired instruction into a record and emits it.
 // Syscalls and taken chk.s recoveries are policy sinks and synchronize
@@ -61,7 +24,7 @@ func (p *Pipeline) PostStep(m *machine.Machine, ins *isa.Instruction) error {
 		return p.syscallBoundary(m, ins)
 	}
 	if ins.Op == isa.OpChkS {
-		if !p.squashed && m.NaT[ins.Src1] {
+		if !p.Pre.Squashed && m.NaT[ins.Src1] {
 			// Taken recovery: the policy verdict (alert vs recover) was
 			// rendered during the branch — apply the batch so it stood
 			// on fully propagated state, and surface any failure it
@@ -71,92 +34,39 @@ func (p *Pipeline) PostStep(m *machine.Machine, ins *isa.Instruction) error {
 		}
 		return nil
 	}
-	if p.squashed {
+	kind := p.Pre.Kind
+	if p.Pre.Squashed || kind == isa.FlowNone {
+		// Branches, compares, tnat, nop, moves to br/unat: no taint
+		// flow and no written GR.
 		return nil
 	}
 
 	r := rec{
+		kind: kind,
 		op:   ins.Op,
 		dest: ins.Dest,
 		s1:   ins.Src1,
 		s2:   ins.Src2,
-		size: ins.Size,
+		size: uint8(ins.AccessSize()),
 		tid:  int32(m.TID),
 		pc:   int32(m.PC),
+		addr: p.Pre.Addr,
 	}
-	switch ins.Op {
-	case isa.OpAdd, isa.OpAnd, isa.OpAndcm, isa.OpOr,
-		isa.OpShl, isa.OpShr, isa.OpSar, isa.OpMul, isa.OpDiv, isa.OpRem:
-		r.kind = rUnion2
-
-	case isa.OpSub, isa.OpXor:
-		// Self-clearing idioms: the result is data-independent.
-		if ins.Src1 == ins.Src2 {
-			r.kind = rClear
-		} else {
-			r.kind = rUnion2
-		}
-
-	case isa.OpAddi, isa.OpAndi, isa.OpOri, isa.OpXori,
-		isa.OpShli, isa.OpShri, isa.OpSari, isa.OpMov:
-		r.kind = rCopy
-
-	case isa.OpMovl, isa.OpMovFromBr, isa.OpMovFromUnat:
-		r.kind = rClear
-
-	case isa.OpLd:
-		r.kind = rLoad
-		r.addr = p.addr
-
-	case isa.OpLdS:
-		r.kind = rLoadSpec
-		r.addr = p.addr
-		if p.deferred {
+	switch kind {
+	case isa.FlowLoadSpec:
+		if p.Pre.Deferred {
 			r.flags |= fDeferred
 		}
-
-	case isa.OpLdFill:
-		r.kind = rLoadFill
-		r.addr = p.addr
-		r.size = 8
-
-	case isa.OpSt:
-		r.kind = rStore
-		r.addr = p.addr
-
-	case isa.OpStSpill:
-		r.kind = rStore
-		r.addr = p.addr
-		r.size = 8
-
-	case isa.OpCmpxchg:
-		r.kind = rCmpxchg
-		r.addr = p.addr
-		if p.xchgOld == p.ccvPre {
+	case isa.FlowCmpxchg:
+		if p.Pre.XchgOld == p.Pre.CCVPre {
 			r.flags |= fCommitted
 		}
-
-	case isa.OpMovToCcv:
-		r.kind = rCcvSet
-
-	case isa.OpMovFromCcv:
-		r.kind = rCcvGet
-
-	case isa.OpSetNat, isa.OpClrNat:
-		r.kind = rNatOnly
-
-	default:
-		// Branches, compares, tnat, nop: no taint flow and no written GR.
-		return nil
 	}
-	switch r.kind {
-	case rStore, rCmpxchg:
-		if p.authoritative(ins) {
-			r.flags |= fAuth
-		}
+	if (kind == isa.FlowStore || kind == isa.FlowCmpxchg) && oracle.Authoritative(p.cfg.Instrumented, ins) {
+		r.flags |= fAuth
 	}
-	if r.kind != rStore && r.kind != rCcvSet &&
-		r.dest != isa.RegZero && m.NaT[r.dest] {
+	// Every emitted kind but store and ccv-set writes dest.
+	if kind != isa.FlowStore && kind != isa.FlowCcvSet && r.dest != isa.RegZero && m.NaT[r.dest] {
 		r.flags |= fNatAfter
 	}
 	p.emit(r)
@@ -176,19 +86,19 @@ func (p *Pipeline) syscallBoundary(m *machine.Machine, ins *isa.Instruction) err
 		if d := p.st.flushCheck(m, ins.String(), int(isa.RegRet), &p.Stats); d != nil {
 			return p.latchErr(m, d)
 		}
-		if !p.squashed {
+		if !p.Pre.Squashed {
 			if d := p.st.sweep(p.cfg.Tags, m, ins.String(), &p.Stats); d != nil {
 				return p.latchErr(m, d)
 			}
 		}
 	}
-	if p.squashed {
+	if p.Pre.Squashed {
 		return nil
 	}
 	rs := p.st.regs(int32(m.TID))
 	// The OS wrote its result (if any) through r8 with NaT clear; a
 	// syscall that left r8 alone preserves taint.
-	if m.GR[isa.RegRet] != p.r8 || m.NaT[isa.RegRet] != p.r8NaT {
+	if m.GR[isa.RegRet] != p.Pre.R8 || m.NaT[isa.RegRet] != p.Pre.R8NaT {
 		rs.taint[isa.RegRet] = false
 	}
 	if p.st.checking && m.NaT[isa.RegRet] && !rs.taint[isa.RegRet] {

@@ -252,34 +252,34 @@ func (st *state) applyRec(r *rec) *oracle.Divergence {
 	rs := st.regs(r.tid)
 	natAfter := r.flags&fNatAfter != 0
 	switch r.kind {
-	case rUnion2:
+	case isa.FlowUnion:
 		rs.set(r.dest, rs.taint[r.s1] || rs.taint[r.s2])
-	case rCopy:
+	case isa.FlowCopy:
 		rs.set(r.dest, rs.taint[r.s1])
-	case rClear:
+	case isa.FlowClear:
 		rs.set(r.dest, false)
-	case rLoad:
+	case isa.FlowLoad:
 		if r.dest != isa.RegZero && natAfter {
 			return div(r, oracle.DivNaTRule, r.dest, true, false)
 		}
 		rs.set(r.dest, st.loadTaint(r.addr, int(r.size)))
-	case rLoadSpec:
+	case isa.FlowLoadSpec:
 		deferred := r.flags&fDeferred != 0
 		if r.dest != isa.RegZero && natAfter != deferred {
 			return div(r, oracle.DivNaTRule, r.dest, natAfter, deferred)
 		}
-		// Deferral token == taint under the one-bit encoding (see the
-		// oracle's OpLdS rule); keeps NaT/taint equality checks exact.
+		// Deferral token == taint under the one-bit encoding
+		// (isa.FlowLoadSpec); keeps NaT/taint equality checks exact.
 		t := true
 		if !deferred {
 			t = st.loadTaint(r.addr, int(r.size))
 		}
 		rs.set(r.dest, t)
-	case rLoadFill:
-		rs.set(r.dest, st.loadTaint(r.addr, 8))
-	case rStore:
+	case isa.FlowFill:
+		rs.set(r.dest, st.loadTaint(r.addr, int(r.size)))
+	case isa.FlowStore:
 		st.setMem(r.addr, int(r.size), rs.taint[r.s2], r.flags&fAuth != 0)
-	case rCmpxchg:
+	case isa.FlowCmpxchg:
 		if r.dest != isa.RegZero && natAfter {
 			return div(r, oracle.DivNaTRule, r.dest, true, false)
 		}
@@ -288,12 +288,13 @@ func (st *state) applyRec(r *rec) *oracle.Divergence {
 			st.setMem(r.addr, int(r.size), rs.taint[r.s2], r.flags&fAuth != 0)
 		}
 		rs.set(r.dest, old)
-	case rCcvSet:
+	case isa.FlowCcvSet:
 		rs.ccv = rs.taint[r.s1]
-	case rCcvGet:
+	case isa.FlowCcvGet:
 		rs.set(r.dest, rs.ccv)
-	case rNatOnly:
-		// No taint flow; the suspect check below is the whole point.
+	case isa.FlowSetNat, isa.FlowClrNat:
+		// No taint flow; the record exists so the suspect check below
+		// runs at the right stream position.
 	}
 	if st.checking && natAfter &&
 		r.dest >= 1 && r.dest < oracle.FirstReservedReg && !rs.taint[r.dest] {

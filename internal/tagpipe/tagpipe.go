@@ -5,8 +5,8 @@
 //
 // Record now, check at sinks. The execution engine (producer) reduces
 // each retired instruction to one compact record — the instruction's
-// taint-transfer function plus the pre-state the lockstep oracle would
-// have captured — and appends it to a fixed batch of records. The batch
+// taint-transfer kind from isa's opcode table plus the pre-state the
+// lockstep oracle captures — and appends it to a fixed batch of records. The batch
 // is applied to the committed shadow state in retirement order, on the
 // execution goroutine, whenever it fills and at every policy-relevant
 // sink (syscalls, taken chk.s recoveries, host effects on guest memory,
@@ -66,16 +66,11 @@ type Pipeline struct {
 	cfg Config
 	st  *state
 
-	// Producer scratch for the instruction in flight (one goroutine, one
-	// instruction at a time — mirrors the oracle's per-thread pre-state,
+	// Pre is the pre-state of the instruction in flight (one goroutine,
+	// one instruction at a time — the oracle's per-thread pre-state,
 	// collapsed because the scheduler never preempts mid-instruction).
-	squashed bool
-	addr     uint64
-	deferred bool
-	ccvPre   uint64
-	xchgOld  uint64
-	r8       int64
-	r8NaT    bool
+	// Its PreStep is the pipeline's machine.StepHook PreStep.
+	oracle.Pre
 
 	batch   []rec              // records retired since the last apply
 	failure *oracle.Divergence // first divergence, latched

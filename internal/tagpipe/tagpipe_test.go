@@ -181,9 +181,9 @@ func TestPipelineCatchesDroppedTaint(t *testing.T) {
 func TestPipelineNaTRulePerRecord(t *testing.T) {
 	m, _ := buildMachine(t, []isa.Instruction{{Op: isa.OpNop}}, taint.Byte)
 	p := New(Config{})
-	p.emit(rec{kind: rLoad, op: isa.OpLd, dest: 5, size: 8, flags: fNatAfter, pc: 7})
+	p.emit(rec{kind: isa.FlowLoad, op: isa.OpLd, dest: 5, size: 8, flags: fNatAfter, pc: 7})
 	for i := 1; i < batchRecs; i++ {
-		p.emit(rec{kind: rClear, op: isa.OpMovl, dest: 1, pc: int32(8 + i)})
+		p.emit(rec{kind: isa.FlowClear, op: isa.OpMovl, dest: 1, pc: int32(8 + i)})
 	}
 	d := p.Divergence()
 	if d == nil || d.Kind != oracle.DivNaTRule || d.Reg != 5 || d.PC != 7 {
@@ -445,7 +445,7 @@ func TestPipelineBatchBoundaryInvariance(t *testing.T) {
 
 // makeRandomRecs builds a producer-faithful random record stream: the
 // field combinations are the ones hook.go can actually emit (fNatAfter
-// only on dest-writing kinds, fDeferred only on rLoadSpec, addresses
+// only on dest-writing kinds, fDeferred only on isa.FlowLoadSpec, addresses
 // drawn from a small pool so records overlap heavily).
 func makeRandomRecs(n int, seed int64) []rec {
 	rng := rand.New(rand.NewSource(seed))
@@ -467,28 +467,28 @@ func makeRandomRecs(n int, seed int64) []rec {
 		}
 		switch rng.Intn(10) {
 		case 0:
-			r.kind = rClear
+			r.kind = isa.FlowClear
 		case 1:
-			r.kind = rCopy
+			r.kind = isa.FlowCopy
 		case 2:
-			r.kind = rLoad
+			r.kind = isa.FlowLoad
 		case 3:
-			r.kind = rLoadSpec
+			r.kind = isa.FlowLoadSpec
 			if rng.Intn(2) == 0 {
 				r.flags |= fDeferred
 				r.flags |= fNatAfter // the legal deferred outcome
 			}
 		case 4:
-			r.kind = rLoadFill
+			r.kind = isa.FlowFill
 			r.size = 8
 		case 5:
-			r.kind = rStore
+			r.kind = isa.FlowStore
 			r.dest = 0
 			if rng.Intn(2) == 0 {
 				r.flags |= fAuth
 			}
 		case 6:
-			r.kind = rCmpxchg
+			r.kind = isa.FlowCmpxchg
 			if rng.Intn(2) == 0 {
 				r.flags |= fCommitted
 			}
@@ -496,17 +496,17 @@ func makeRandomRecs(n int, seed int64) []rec {
 				r.flags |= fAuth
 			}
 		case 7:
-			r.kind = rCcvSet
+			r.kind = isa.FlowCcvSet
 			r.dest = 0
 		case 8:
-			r.kind = rCcvGet
+			r.kind = isa.FlowCcvGet
 		default:
-			r.kind = rUnion2
+			r.kind = isa.FlowUnion
 		}
 		// A sprinkling of NaT-after bits on dest-writing records: some
 		// will be backed by shadow taint (pass), some not (the suspect
-		// path), some break a mechanical rule (rLoad with NaT).
-		if r.kind != rStore && r.kind != rCcvSet && r.dest != 0 && rng.Intn(12) == 0 {
+		// path), some break a mechanical rule (isa.FlowLoad with NaT).
+		if r.kind != isa.FlowStore && r.kind != isa.FlowCcvSet && r.dest != 0 && rng.Intn(12) == 0 {
 			r.flags |= fNatAfter
 		}
 		recs = append(recs, r)
