@@ -188,18 +188,18 @@ func TestZeroRegionPagesShadowsBaseFrames(t *testing.T) {
 	g := NewFromSnapshot(snap)
 	// The guest sees the base tag byte; clearing must shadow it with a
 	// private zero page, not mutate the shared base.
-	if v, _ := g.Read(Addr(0, 0x10) &^ 7, 8); v == 0 {
+	if v, _ := g.Read(Addr(0, 0x10)&^7, 8); v == 0 {
 		t.Fatal("base tag byte not visible through COW")
 	}
 	if n := g.ZeroRegionPages(0); n != 1 {
 		t.Fatalf("zeroed %d pages, want 1", n)
 	}
-	if v, _ := g.Read(Addr(0, 0x10) &^ 7, 8); v != 0 {
+	if v, _ := g.Read(Addr(0, 0x10)&^7, 8); v != 0 {
 		t.Fatalf("tag byte survived clear: %#x", v)
 	}
 	// The other guest and the snapshot still see the original.
 	g2 := NewFromSnapshot(snap)
-	if v, _ := g2.Read(Addr(0, 0x10) &^ 7, 8); v == 0 {
+	if v, _ := g2.Read(Addr(0, 0x10)&^7, 8); v == 0 {
 		t.Fatal("clear leaked into the shared snapshot")
 	}
 }

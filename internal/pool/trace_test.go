@@ -88,11 +88,24 @@ func TestPoolTwoRequestTaintAttribution(t *testing.T) {
 	}
 
 	// The recycled guest's tag space must be channel-clean: no live
-	// union, no per-unit origins surviving the tag clear.
+	// union, and no recorded origin for request 1's network bytes
+	// surviving the tag clear (ChannelAt falls back to the empty union).
 	g := p.Acquire()
 	defer p.Release(g)
 	if live := g.Tags().Live(); live != 0 {
 		t.Fatalf("recycled guest live channels = %v, want none", live)
+	}
+	var netBirth *trace.Event
+	for i, ev := range tr1.Events() {
+		if ev.Kind == trace.KindTaint && ev.Name == "network" {
+			netBirth = &tr1.Events()[i]
+			break
+		}
+	}
+	for a := netBirth.Addr; a < netBirth.Addr+netBirth.N; a++ {
+		if ch := g.Tags().ChannelAt(a); ch != 0 {
+			t.Fatalf("recycled guest ChannelAt(%#x) = %v: request 1's network origin survived the clear", a, ch)
+		}
 	}
 }
 

@@ -185,7 +185,9 @@ func TestPeekGroup(t *testing.T) {
 
 // FuzzTagRanges drives SetRange/ClearRange/Tainted/CountTainted with
 // arbitrary ranges: no call may panic, valid updates must read back, and
-// invalid ranges must leave the bitmap untouched.
+// invalid ranges must leave the bitmap untouched. ChannelAt must follow
+// the same ranges: a set range attributes at both ends, a cleared one
+// falls back to the live union.
 func FuzzTagRanges(f *testing.F) {
 	f.Add(uint64(7)<<61|uint64(mem.OffsetMask-15), uint64(16), true)
 	f.Add(uint64(7)<<61|uint64(mem.OffsetMask-15), ^uint64(0)-7, true)
@@ -227,6 +229,19 @@ func FuzzTagRanges(f *testing.F) {
 			if c, err := s.CountTainted(addr, n); err != nil || c != wantUnits {
 				t.Fatalf("CountTainted = %d, %v, want %d", c, err, wantUnits)
 			}
+			if err := s.SetRangeFrom(addr+n-1, 1, ChanNetwork); err != nil {
+				t.Fatalf("SetRangeFrom on the range's last byte: %v", err)
+			}
+			firstCh := ChanHost
+			if wantUnits == 1 {
+				firstCh |= ChanNetwork
+			}
+			if ch := s.ChannelAt(addr); ch != firstCh {
+				t.Fatalf("ChannelAt(%#x) = %v, want %v", addr, ch, firstCh)
+			}
+			if ch := s.ChannelAt(addr + n - 1); ch != ChanHost|ChanNetwork {
+				t.Fatalf("ChannelAt(%#x) = %v, want host,network", addr+n-1, ch)
+			}
 			if err := s.ClearRange(addr, n); err != nil {
 				t.Fatalf("ClearRange after SetRange: %v", err)
 			}
@@ -234,6 +249,15 @@ func FuzzTagRanges(f *testing.F) {
 				t.Fatalf("ClearRange(%#x, %d) left taint", addr, n)
 			}
 			checkGroup(t, s, addr)
+			if err := s.SetRangeFrom(addr, 1, ChanStdin); err != nil {
+				t.Fatalf("SetRangeFrom on the range's first byte: %v", err)
+			}
+			if ch := s.ChannelAt(addr); ch != ChanStdin {
+				t.Fatalf("ChannelAt(%#x) = %v after ClearRange + SetRangeFrom stdin, want stdin", addr, ch)
+			}
+			if ch := s.ChannelAt(addr + n - 1); wantUnits > 1 && ch != ChanHost|ChanNetwork|ChanStdin {
+				t.Fatalf("ChannelAt(%#x) = %v after ClearRange, want the live union", addr+n-1, ch)
+			}
 		}
 	})
 }

@@ -68,6 +68,11 @@ func TestSharedSpaceNoTornUnits(t *testing.T) {
 				t.Fatalf("%d of %d units tainted after the hammer; %d lost to torn updates",
 					n, want, want-n)
 			}
+			// The birth records took the same churn under originMu: one
+			// merged host span must cover the hammered bytes.
+			if sp := s.spans; len(sp) != 1 || sp[0].first != base || sp[0].last != base+span-g.UnitBytes() || sp[0].ch != ChanHost {
+				t.Fatalf("birth records after the hammer = %+v, want one host span over [%#x, +%d)", sp, base, span)
+			}
 		})
 	}
 }

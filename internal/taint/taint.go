@@ -12,6 +12,8 @@ package taint
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
+	"sort"
 	"sync"
 
 	"shift/internal/mem"
@@ -103,18 +105,29 @@ type Space struct {
 	// TLB-free Shared accessors.
 	shards *[tagShards]sync.Mutex
 
-	// Birth-channel provenance. origins records, per tracked unit the
-	// host has marked, the channel(s) the mark was born from; live is the
+	// Birth-channel provenance. spans records, for the tracked units the
+	// host has marked, the channel(s) each mark was born from; live is the
 	// union of every channel that has marked taint since the last Clear.
 	// Guest-propagated taint (tag-bitmap writes by instrumented stores)
 	// is invisible here by construction — ChannelBytes falls back to the
 	// live union for units it has no precise origin for, which is exact
 	// whenever a run's taint all came from one channel and a sound
-	// over-approximation otherwise. originMu guards both fields; the tag
-	// bits themselves stay under the shard locks.
+	// over-approximation otherwise. originMu guards spans, scratch and
+	// live; the tag bits themselves stay under the shard locks.
 	originMu sync.Mutex
-	origins  map[uint64]Channel
+	spans    []span // sorted, disjoint, equal-channel neighbours merged
+	scratch  []span // paint's reusable window buffer
 	live     Channel
+}
+
+// span is a run of tracked units sharing one recorded birth-channel
+// mask: the units whose addresses lie in [first, last], both unit-aligned.
+// last is inclusive so a span ending at the top of a region cannot
+// overflow. An input syscall marks one contiguous buffer, so a request's
+// provenance is a span or two, not one entry per unit.
+type span struct {
+	first, last uint64
+	ch          Channel
 }
 
 // tagShards is the number of word-granularity locks a shared Space
@@ -185,13 +198,7 @@ func (s *Space) noteOrigin(start, count uint64, ch Channel) {
 	}
 	s.originMu.Lock()
 	defer s.originMu.Unlock()
-	if s.origins == nil {
-		s.origins = make(map[uint64]Channel)
-	}
-	unit := s.Gran.UnitBytes()
-	for i := uint64(0); i < count; i++ {
-		s.origins[start+i*unit] |= ch
-	}
+	s.paint(start, start+(count-1)*s.Gran.UnitBytes(), ch)
 	s.live |= ch
 }
 
@@ -201,13 +208,63 @@ func (s *Space) noteOrigin(start, count uint64, ch Channel) {
 func (s *Space) dropOrigin(start, count uint64) {
 	s.originMu.Lock()
 	defer s.originMu.Unlock()
-	if s.origins == nil {
-		return
-	}
+	s.paint(start, start+(count-1)*s.Gran.UnitBytes(), 0)
+}
+
+// paint ORs ch into the recorded channel of every unit in [first, last],
+// or, when ch is 0, drops their records. It rewrites only the window of
+// spans that overlap or adjoin the range — those are the ones a split or
+// merge can change — and splices the result back in place, so a call in
+// steady state allocates nothing. The caller holds originMu.
+func (s *Space) paint(first, last uint64, ch Channel) {
 	unit := s.Gran.UnitBytes()
-	for i := uint64(0); i < count; i++ {
-		delete(s.origins, start+i*unit)
+	sp := s.spans
+	// touches reports whether a unit at b overlaps or directly follows
+	// one ending at a (b is at most one unit past a), overflow-safe.
+	touches := func(a, b uint64) bool { return b <= a || b-a <= unit }
+	i := sort.Search(len(sp), func(k int) bool { return touches(sp[k].last, first) })
+	j := i + sort.Search(len(sp)-i, func(k int) bool { return !touches(last, sp[i+k].first) })
+
+	out := s.scratch[:0]
+	cur, done := first, false // the first unit of the range not yet emitted
+	for _, o := range sp[i:j] {
+		if o.first < first {
+			out = appendSpan(out, span{o.first, min(o.last, first-unit), o.ch}, unit)
+		}
+		if !done && o.first > cur {
+			hi := min(o.first-unit, last)
+			out = appendSpan(out, span{cur, hi, ch}, unit)
+			cur, done = o.first, hi == last
+		}
+		if lo, hi := max(o.first, first), min(o.last, last); !done && lo <= hi {
+			if ch != 0 {
+				out = appendSpan(out, span{lo, hi, o.ch | ch}, unit)
+			}
+			cur, done = hi+unit, hi == last
+		}
+		if o.last > last {
+			out = appendSpan(out, span{max(o.first, last+unit), o.last, o.ch}, unit)
+		}
 	}
+	if !done {
+		out = appendSpan(out, span{cur, last, ch}, unit)
+	}
+	s.spans = slices.Replace(sp, i, j, out...)
+	s.scratch = out[:0]
+}
+
+// appendSpan appends sp to out, dropping it when it records no channel
+// and merging it into out's last span when the two adjoin with the same
+// channel.
+func appendSpan(out []span, sp span, unit uint64) []span {
+	if sp.ch == 0 {
+		return out
+	}
+	if n := len(out); n > 0 && out[n-1].ch == sp.ch && sp.first-out[n-1].last == unit {
+		out[n-1].last = sp.last
+		return out
+	}
+	return append(out, sp)
 }
 
 // Live returns the union of every birth channel that marked taint since
@@ -228,8 +285,10 @@ func (s *Space) ChannelAt(addr uint64) Channel {
 	u := addr &^ (unit - 1)
 	s.originMu.Lock()
 	defer s.originMu.Unlock()
-	if ch, ok := s.origins[u]; ok {
-		return ch
+	sp := s.spans
+	k := sort.Search(len(sp), func(k int) bool { return sp[k].last >= u })
+	if k < len(sp) && sp[k].first <= u {
+		return sp[k].ch
 	}
 	return s.live
 }
@@ -274,7 +333,7 @@ func (s *Space) Clear() int {
 	}
 	pages := s.Mem.ZeroRegionPages(0)
 	s.originMu.Lock()
-	s.origins = nil
+	s.spans = s.spans[:0] // keep the capacity: a recycled guest reuses it
 	s.live = 0
 	s.originMu.Unlock()
 	return pages
@@ -333,7 +392,7 @@ func checkRange(addr, n uint64) error {
 func (s *Space) units(addr, n uint64) (start, count uint64) {
 	unit := s.Gran.UnitBytes()
 	start = addr &^ (unit - 1)
-	count = (addr + n - 1 - start)/unit + 1
+	count = (addr+n-1-start)/unit + 1
 	return start, count
 }
 
