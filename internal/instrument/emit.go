@@ -112,6 +112,23 @@ func (in *inserter) emitClean(reg uint8, p uint8, class isa.CostClass) {
 	in.add(class, isa.Instruction{Op: isa.OpLd, Qp: p, Dest: reg, Src1: rAddr, Size: 8})
 }
 
+// emitSite gives a kept site its full rewrite: the tag consult of a
+// load, the tag update of a store, the relaxation of a compare.
+func (in *inserter) emitSite(src *isa.Instruction, permissive bool) {
+	switch {
+	case src.Op == isa.OpLdS:
+		in.emitSpecLoad(src)
+	case src.Op == isa.OpCmpxchg:
+		in.emitCmpxchg(src, permissive)
+	case src.Site() == isa.SiteLoad:
+		in.emitLoad(src, permissive)
+	case src.Site() == isa.SiteStore:
+		in.emitStore(src, permissive)
+	default:
+		in.emitRelaxedCmp(src)
+	}
+}
+
 // emitLoad rewrites a load per Figure 5: consult the bitmap and taint the
 // destination register when the tag bit is set. In strict mode a tainted
 // address faults at the load itself (policy L1); in permissive mode the

@@ -135,16 +135,13 @@ type Options struct {
 	// the run-time oracle — not the static gate — must catch the
 	// divergence. The mutation suite in internal/shift relies on this.
 	ForceSkip map[int]bool
-
-	// exemptOut, when set, receives the output-index exempt set (see
-	// Exempt).
-	exemptOut func(map[int]bool)
 }
 
 // Stats is the pass' site accounting: how many instrumentable sites the
 // input had and what happened to each.
 type Stats struct {
-	// Sites is every non-ABI load, store, cmpxchg and compare.
+	// Sites is every instruction with an isa.Site: non-ABI loads,
+	// stores, cmpxchg and cmp/cmpi.
 	Sites int
 	// Kept sites received the full tag/relaxation sequence.
 	Kept int
@@ -162,6 +159,19 @@ type Stats struct {
 // Apply rewrites prog into its instrumented form. The input program is
 // not modified.
 func Apply(prog *isa.Program, opt Options) (*isa.Program, error) {
+	out, _, err := apply(prog, opt)
+	return out, err
+}
+
+// ApplyWithExempt runs Apply and additionally returns the output-index
+// set of analysis-sanctioned uninstrumented sites, for tools that rerun
+// the contract checker themselves (cmd/shiftlint, the mutation suite).
+func ApplyWithExempt(prog *isa.Program, opt Options) (*isa.Program, map[int]bool, error) {
+	return apply(prog, opt)
+}
+
+// apply is Apply, also returning the exempt set.
+func apply(prog *isa.Program, opt Options) (*isa.Program, map[int]bool, error) {
 	ins := &inserter{
 		opt:    opt,
 		tagFor: -1,
@@ -202,53 +212,33 @@ func Apply(prog *isa.Program, opt Options) (*isa.Program, error) {
 		}
 	}
 
-	// Selective mode: solve taint reachability over the input program and
-	// precompute which sites may keep their original encoding.
-	skip := make([]bool, len(prog.Text))
+	// Selective mode: solve taint reachability over the input program.
+	// Then decide which sites keep their original encoding, and whether
+	// any kept memory site consumes the kept OffsetMask register and (when
+	// it taints a destination without setnat) the NaT-source register:
+	// an unconsumed keep-live sequence is dead weight the static checker
+	// (rightly) flags.
+	var ra *reach.Analysis
 	if opt.Selective {
-		ra := reach.Analyze(prog, reach.Config{
+		ra = reach.Analyze(prog, reach.Config{
 			Sources:    opt.SelectiveSources,
 			Gran:       opt.Gran,
 			Permissive: opt.Permissive,
 		})
-		for idx := range prog.Text {
-			src := &prog.Text[idx]
-			if src.ABI {
-				continue
-			}
-			switch src.Op {
-			case isa.OpLd, isa.OpLdS, isa.OpLdFill:
-				skip[idx] = !ra.InstrumentLoad(idx)
-			case isa.OpSt, isa.OpStSpill, isa.OpCmpxchg:
-				skip[idx] = !ra.InstrumentStore(idx)
-			case isa.OpCmp, isa.OpCmpi:
-				skip[idx] = !ra.RelaxCompare(idx)
-			}
-		}
 	}
-	for idx := range opt.ForceSkip {
-		if opt.ForceSkip[idx] && idx >= 0 && idx < len(skip) {
-			skip[idx] = true
-		}
-	}
-
-	// The NaT-source register and the kept OffsetMask register are only
-	// generated when something consumes them; an unconsumed keep-live
-	// sequence is dead weight the static checker (rightly) flags.
+	skip := make([]bool, len(prog.Text))
 	for idx := range prog.Text {
 		src := &prog.Text[idx]
-		if src.ABI || skip[idx] {
+		site := src.Site()
+		if site == isa.SiteNone {
 			continue
 		}
-		switch src.Op {
-		case isa.OpLd, isa.OpLdS, isa.OpCmpxchg, isa.OpLdFill:
-			if !opt.Feat.SetClrNaT {
-				ins.needNaT = true
-			}
-			ins.needMask = true
-		case isa.OpSt, isa.OpStSpill:
-			ins.needMask = true
+		skip[idx] = opt.ForceSkip[idx] || (ra != nil && !ra.Keep(idx))
+		if skip[idx] || site == isa.SiteCompare {
+			continue
 		}
+		ins.needMask = true
+		ins.needNaT = ins.needNaT || (src.Op.HasDest() && !opt.Feat.SetClrNaT)
 	}
 	ins.needMask = ins.needMask && opt.Optimize
 
@@ -284,66 +274,28 @@ func Apply(prog *isa.Program, opt Options) (*isa.Program, error) {
 			ins.tagFor = -1
 		}
 
-		needsRewrite := !src.ABI &&
-			(src.Op == isa.OpLd || src.Op == isa.OpLdS || src.Op == isa.OpLdFill ||
-				src.Op == isa.OpSt || src.Op == isa.OpStSpill ||
-				src.Op == isa.OpCmpxchg ||
-				src.Op == isa.OpCmp || src.Op == isa.OpCmpi)
-		if needsRewrite && src.Qp != 0 {
-			return nil, fmt.Errorf("instrument: instruction %d (%s): predicated loads, stores, atomics and compares are not supported", idx, src.String())
+		site := src.Site()
+		if site != isa.SiteNone && src.Qp != 0 {
+			return nil, nil, fmt.Errorf("instrument: instruction %d (%s): predicated loads, stores, atomics and compares are not supported", idx, src.String())
 		}
 		switch {
-		case src.ABI:
-			ins.copy(src)
-		case src.Op == isa.OpLd || src.Op == isa.OpLdFill:
-			stats.Sites++
-			if skip[idx] {
-				stats.Skipped++
-				ins.skipSite(src)
-			} else {
-				stats.Kept++
-				ins.emitLoad(src, permissive)
-			}
-		case src.Op == isa.OpLdS:
-			stats.Sites++
-			if skip[idx] {
-				stats.Skipped++
-				ins.skipSite(src)
-			} else {
-				stats.Kept++
-				ins.emitSpecLoad(src)
-			}
-		case src.Op == isa.OpSt || src.Op == isa.OpStSpill:
-			stats.Sites++
-			if skip[idx] {
-				stats.Skipped++
-				ins.skipSite(src)
-			} else {
-				stats.Kept++
-				ins.emitStore(src, permissive)
-			}
-		case src.Op == isa.OpCmpxchg:
-			stats.Sites++
-			if skip[idx] {
-				stats.Skipped++
-				ins.skipSite(src)
-			} else {
-				stats.Kept++
-				ins.emitCmpxchg(src, permissive)
-			}
-		case src.Op == isa.OpCmp || src.Op == isa.OpCmpi:
+		case site != isa.SiteNone:
 			stats.Sites++
 			switch {
 			case skip[idx]:
 				stats.Skipped++
 				ins.skipSite(src)
-			case clean.compareClean(src):
+			case site == isa.SiteCompare && clean.compareClean(src):
 				stats.CleanCompares++
 				ins.copy(src)
 			default:
 				stats.Kept++
-				ins.emitRelaxedCmp(src)
+				ins.emitSite(src, permissive)
 			}
+		case src.ABI:
+			// Bookkeeping is not a guarded use: the epilogue's mov.tobr
+			// moves the saved return address back.
+			ins.copy(src)
 		case src.Op == isa.OpSyscall && opt.UserGuards:
 			ins.emitGuardedSyscall(src)
 		case src.Op == isa.OpMovToBr && opt.UserGuards:
@@ -380,37 +332,21 @@ func Apply(prog *isa.Program, opt Options) (*isa.Program, error) {
 	}
 	ins.out.Entry = mapping[prog.Entry]
 	if err := ins.out.Link(); err != nil {
-		return nil, fmt.Errorf("instrument: %w", err)
+		return nil, nil, fmt.Errorf("instrument: %w", err)
 	}
 	if err := ins.out.Validate(); err != nil {
-		return nil, fmt.Errorf("instrument: %w", err)
+		return nil, nil, fmt.Errorf("instrument: %w", err)
 	}
 	if !opt.SkipVerify {
 		// Reachability-refined contract check: analysis-sanctioned skips
 		// are exempt, everything else is held to the full contract.
 		if findings := staticcheck.CheckSelective(ins.out, ins.exempt); len(findings) > 0 {
-			return nil, fmt.Errorf("instrument: output violates the instrumentation contract (pass bug): %s (%d finding(s) total)",
+			return nil, nil, fmt.Errorf("instrument: output violates the instrumentation contract (pass bug): %s (%d finding(s) total)",
 				findings[0].String(), len(findings))
 		}
 	}
 	if opt.Stats != nil {
 		*opt.Stats = stats
 	}
-	if opt.exemptOut != nil {
-		opt.exemptOut(ins.exempt)
-	}
-	return ins.out, nil
-}
-
-// ApplyWithExempt runs Apply and additionally returns the output-index
-// set of analysis-sanctioned uninstrumented sites, for tools that rerun
-// the contract checker themselves (cmd/shiftlint, the mutation suite).
-func ApplyWithExempt(prog *isa.Program, opt Options) (*isa.Program, map[int]bool, error) {
-	var ex map[int]bool
-	opt.exemptOut = func(m map[int]bool) { ex = m }
-	out, err := Apply(prog, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, ex, nil
+	return ins.out, ins.exempt, nil
 }

@@ -298,6 +298,30 @@ const (
 	FlowClrNat
 )
 
+// Site is an opcode's instrumentation-site class: which rewrite the
+// SHIFT pass gives it (paper §3, Figure 5, "loads, stores and comparison
+// instructions"). It is the one statement of that list; the pass, the
+// reachability analysis's keep decision and its reports each switch on
+// it.
+type Site uint8
+
+// Site classes.
+const (
+	// SiteNone: the pass copies the instruction unchanged. The .na
+	// compares are not sites: they already compare NaT'd operands.
+	SiteNone Site = iota
+	// SiteLoad: ld, ld.s and ld8.fill consult the tag bitmap and set
+	// the destination's NaT bit from it.
+	SiteLoad
+	// SiteStore: st, st8.spill and cmpxchg update the tag bitmap from
+	// the data register's NaT bit (cmpxchg also taints its destination
+	// from the old location, as a load).
+	SiteStore
+	// SiteCompare: cmp and cmpi are relaxed so NaT'd operands compare
+	// by value instead of clearing both predicates.
+	SiteCompare
+)
+
 // NaT-fault sources: the source registers a non-speculative op faults
 // on when they carry NaT (paper §2.2: improper uses of the token trap).
 const (
@@ -318,6 +342,7 @@ type opInfo struct {
 	flow      Flow
 	selfClear bool  // src1 == src2 clears the destination (§3.2)
 	natFaults uint8 // natFault1 | natFault2
+	site      Site
 }
 
 var opTable = [NumOpcodes]opInfo{
@@ -343,16 +368,16 @@ var opTable = [NumOpcodes]opInfo{
 	OpSari:        {name: "sari", hasDest: true, reads1: true, isImm: true, flow: FlowCopy},
 	OpMov:         {name: "mov", hasDest: true, reads1: true, flow: FlowCopy},
 	OpMovl:        {name: "movl", hasDest: true, isImm: true, flow: FlowClear},
-	OpCmp:         {name: "cmp", reads1: true, reads2: true, flow: FlowNone},
-	OpCmpi:        {name: "cmpi", reads1: true, isImm: true, flow: FlowNone},
+	OpCmp:         {name: "cmp", reads1: true, reads2: true, flow: FlowNone, site: SiteCompare},
+	OpCmpi:        {name: "cmpi", reads1: true, isImm: true, flow: FlowNone, site: SiteCompare},
 	OpCmpNa:       {name: "cmp.na", reads1: true, reads2: true, flow: FlowNone},
 	OpCmpiNa:      {name: "cmpi.na", reads1: true, isImm: true, flow: FlowNone},
 	OpTnat:        {name: "tnat", reads1: true, flow: FlowNone},
-	OpLd:          {name: "ld", hasDest: true, reads1: true, isMem: true, flow: FlowLoad, natFaults: natFault1},
-	OpLdS:         {name: "ld.s", hasDest: true, reads1: true, isMem: true, flow: FlowLoadSpec},
-	OpLdFill:      {name: "ld8.fill", hasDest: true, reads1: true, isMem: true, isImm: true, flow: FlowFill, natFaults: natFault1},
-	OpSt:          {name: "st", reads1: true, reads2: true, isMem: true, flow: FlowStore, natFaults: natFault1 | natFault2},
-	OpStSpill:     {name: "st8.spill", reads1: true, reads2: true, isMem: true, isImm: true, flow: FlowStore, natFaults: natFault1},
+	OpLd:          {name: "ld", hasDest: true, reads1: true, isMem: true, flow: FlowLoad, natFaults: natFault1, site: SiteLoad},
+	OpLdS:         {name: "ld.s", hasDest: true, reads1: true, isMem: true, flow: FlowLoadSpec, site: SiteLoad},
+	OpLdFill:      {name: "ld8.fill", hasDest: true, reads1: true, isMem: true, isImm: true, flow: FlowFill, natFaults: natFault1, site: SiteLoad},
+	OpSt:          {name: "st", reads1: true, reads2: true, isMem: true, flow: FlowStore, natFaults: natFault1 | natFault2, site: SiteStore},
+	OpStSpill:     {name: "st8.spill", reads1: true, reads2: true, isMem: true, isImm: true, flow: FlowStore, natFaults: natFault1, site: SiteStore},
 	OpChkS:        {name: "chk.s", reads1: true, isBranch: true, flow: FlowNone},
 	OpBr:          {name: "br", isBranch: true, flow: FlowNone},
 	OpBrCall:      {name: "br.call", isBranch: true, flow: FlowNone},
@@ -364,7 +389,7 @@ var opTable = [NumOpcodes]opInfo{
 	OpMovFromUnat: {name: "mov.fromunat", hasDest: true, flow: FlowClear},
 	OpMovToCcv:    {name: "mov.toccv", reads1: true, flow: FlowCcvSet, natFaults: natFault1},
 	OpMovFromCcv:  {name: "mov.fromccv", hasDest: true, flow: FlowCcvGet},
-	OpCmpxchg:     {name: "cmpxchg", hasDest: true, reads1: true, reads2: true, isMem: true, flow: FlowCmpxchg, natFaults: natFault1 | natFault2},
+	OpCmpxchg:     {name: "cmpxchg", hasDest: true, reads1: true, reads2: true, isMem: true, flow: FlowCmpxchg, natFaults: natFault1 | natFault2, site: SiteStore},
 	OpSetNat:      {name: "setnat", hasDest: true, flow: FlowSetNat},
 	OpClrNat:      {name: "clrnat", hasDest: true, flow: FlowClrNat},
 	OpSyscall:     {name: "syscall", isImm: true, flow: FlowNone},
@@ -400,6 +425,16 @@ func (i *Instruction) Flow() Flow {
 	return info.flow
 }
 
+// Site returns the instruction's instrumentation-site class. ABI
+// bookkeeping is never a site: its NaT bits travel through UNAT, not
+// the tag bitmap.
+func (i *Instruction) Site() Site {
+	if i.ABI {
+		return SiteNone
+	}
+	return opTable[i.Op].site
+}
+
 // AccessSize returns the number of bytes a memory instruction touches:
 // Size, except for ld8.fill and st8.spill, which always move 8.
 func (i *Instruction) AccessSize() int {
@@ -426,15 +461,8 @@ func (op Opcode) IsMem() bool { return opTable[op].isMem }
 // IsBranch reports whether op can redirect control flow.
 func (op Opcode) IsBranch() bool { return opTable[op].isBranch }
 
-// IsLoad reports whether op is one of the load forms.
-func (op Opcode) IsLoad() bool {
-	return op == OpLd || op == OpLdS || op == OpLdFill
-}
-
-// IsStore reports whether op is one of the store forms.
-func (op Opcode) IsStore() bool { return op == OpSt || op == OpStSpill }
-
-// IsCompare reports whether op is one of the compare forms.
+// IsCompare reports whether op writes predicates by comparing values:
+// the instrumented compares and their .na forms.
 func (op Opcode) IsCompare() bool {
 	return op == OpCmp || op == OpCmpi || op == OpCmpNa || op == OpCmpiNa
 }

@@ -62,12 +62,6 @@ func TestCondStringRoundTrip(t *testing.T) {
 }
 
 func TestOpcodeClassification(t *testing.T) {
-	if !OpLd.IsLoad() || !OpLdS.IsLoad() || !OpLdFill.IsLoad() {
-		t.Error("load forms not classified as loads")
-	}
-	if !OpSt.IsStore() || !OpStSpill.IsStore() {
-		t.Error("store forms not classified as stores")
-	}
 	if OpAdd.IsMem() || !OpLd.IsMem() || !OpStSpill.IsMem() {
 		t.Error("IsMem wrong")
 	}
@@ -79,6 +73,44 @@ func TestOpcodeClassification(t *testing.T) {
 	}
 	if OpInvalid.Valid() || NumOpcodes.Valid() || !OpNop.Valid() {
 		t.Error("Valid wrong")
+	}
+}
+
+// TestSiteColumn pins every opcode's instrumentation-site class, and
+// checks that ABI bookkeeping is never a site.
+func TestSiteColumn(t *testing.T) {
+	want := map[Opcode]Site{
+		OpInvalid: SiteNone,
+		OpAdd:     SiteNone, OpSub: SiteNone, OpAnd: SiteNone, OpAndcm: SiteNone,
+		OpOr: SiteNone, OpXor: SiteNone, OpShl: SiteNone, OpShr: SiteNone,
+		OpSar: SiteNone, OpMul: SiteNone, OpDiv: SiteNone, OpRem: SiteNone,
+		OpAddi: SiteNone, OpAndi: SiteNone, OpOri: SiteNone, OpXori: SiteNone,
+		OpShli: SiteNone, OpShri: SiteNone, OpSari: SiteNone,
+		OpMov: SiteNone, OpMovl: SiteNone,
+		OpCmp: SiteCompare, OpCmpi: SiteCompare, OpCmpNa: SiteNone, OpCmpiNa: SiteNone,
+		OpTnat: SiteNone,
+		OpLd:   SiteLoad, OpLdS: SiteLoad, OpLdFill: SiteLoad,
+		OpSt: SiteStore, OpStSpill: SiteStore,
+		OpChkS: SiteNone,
+		OpBr:   SiteNone, OpBrCall: SiteNone, OpBrRet: SiteNone, OpBrInd: SiteNone,
+		OpMovToBr: SiteNone, OpMovFromBr: SiteNone,
+		OpMovToUnat: SiteNone, OpMovFromUnat: SiteNone,
+		OpMovToCcv: SiteNone, OpMovFromCcv: SiteNone, OpCmpxchg: SiteStore,
+		OpSetNat: SiteNone, OpClrNat: SiteNone,
+		OpSyscall: SiteNone, OpNop: SiteNone,
+	}
+	if len(want) != int(NumOpcodes) {
+		t.Fatalf("site table lists %d opcodes, want %d", len(want), NumOpcodes)
+	}
+	for op := OpInvalid; op < NumOpcodes; op++ {
+		ins := Instruction{Op: op}
+		if got := ins.Site(); got != want[op] {
+			t.Errorf("%s: Site() = %d, want %d", op.Name(), got, want[op])
+		}
+		ins.ABI = true
+		if got := ins.Site(); got != SiteNone {
+			t.Errorf("ABI %s: Site() = %d, want SiteNone", op.Name(), got)
+		}
 	}
 }
 

@@ -300,26 +300,14 @@ func TestSelectiveMutationSuite(t *testing.T) {
 	start, end := mainRange(t, plain)
 	var candidates []int
 	for idx := start; idx < end; idx++ {
-		ins := &plain.Text[idx]
-		if ins.ABI {
-			continue
-		}
-		keep := false
-		switch ins.Op {
-		case isa.OpLd, isa.OpLdFill:
-			keep = ra.InstrumentLoad(idx)
-		case isa.OpSt, isa.OpStSpill, isa.OpCmpxchg:
-			keep = ra.InstrumentStore(idx)
-		case isa.OpCmp, isa.OpCmpi:
-			keep = ra.RelaxCompare(idx)
-		}
-		if keep {
+		if ra.Keep(idx) {
 			candidates = append(candidates, idx)
 		}
 	}
 	if len(candidates) < 3 {
 		t.Fatalf("implausibly few mutation candidates in main: %d", len(candidates))
 	}
+	t.Logf("%d mutation candidates in main", len(candidates))
 
 	for _, idx := range candidates {
 		idx := idx

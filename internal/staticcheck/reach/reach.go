@@ -109,7 +109,8 @@ func meet(x, y rstate) rstate {
 	return r
 }
 
-// Fact is the per-instruction may-touch-taint result.
+// Fact is the per-instruction may-touch-taint result. Only
+// instrumentation sites (isa.Site) carry the taint fields.
 type Fact struct {
 	// Live: the instruction is reachable with some register state. Dead
 	// sites are trivially taint-free (and trivially skippable: they
@@ -124,12 +125,6 @@ type Fact struct {
 	DataTaint bool
 	// OpTaint: a compare operand may be NaT.
 	OpTaint bool
-}
-
-// Touches reports whether the site may interact with taint at all —
-// the per-instruction "may-touch-taint" summary fact.
-func (f Fact) Touches() bool {
-	return f.Live && (f.AddrTaint || f.MemTaint || f.DataTaint || f.OpTaint)
 }
 
 // Analysis is the solved whole-program result.
@@ -603,11 +598,11 @@ func (a *Analysis) decide() {
 		st := a.in[pc]
 		f := Fact{Live: st.live}
 		if st.live {
-			switch kind := ins.Flow(); kind {
-			case isa.FlowLoad, isa.FlowLoadSpec, isa.FlowFill:
+			switch ins.Site() {
+			case isa.SiteLoad:
 				f.AddrTaint = st.taint.Has(ins.Src1)
 				f.MemTaint = a.memTaint(st.ptr[ins.Src1])
-				if kind == isa.FlowLoadSpec {
+				if ins.Op == isa.OpLdS {
 					// A control-speculative load was hoisted above the
 					// branch that guards it — typically a bounds check.
 					// The points-to set's in-bounds assumption is exactly
@@ -617,15 +612,13 @@ func (a *Analysis) decide() {
 					// taint-free.
 					f.MemTaint = a.anySeed()
 				}
-			case isa.FlowStore, isa.FlowCmpxchg:
+			case isa.SiteStore:
 				f.AddrTaint = st.taint.Has(ins.Src1)
 				f.MemTaint = a.memTaint(st.ptr[ins.Src1])
 				f.DataTaint = st.taint.Has(ins.Src2)
-			case isa.FlowNone:
-				if ins.Op.IsCompare() {
-					f.OpTaint = st.taint.Has(ins.Src1) ||
-						(ins.Op.ReadsSrc2() && st.taint.Has(ins.Src2))
-				}
+			case isa.SiteCompare:
+				f.OpTaint = st.taint.Has(ins.Src1) ||
+					(ins.Op.ReadsSrc2() && st.taint.Has(ins.Src2))
 			}
 		}
 		a.facts[pc] = f
@@ -648,38 +641,33 @@ func (a *Analysis) Permissive(pc int) bool {
 	return a.perm[pc]
 }
 
-// InstrumentLoad reports whether a selective pass must rewrite the load
-// at pc: the location may carry taint, the address is derived from
-// tainted data (the in-bounds assumption behind the points-to sets is
-// void when an attacker steers the pointer — the recovery load of the
+// Keep reports whether a selective pass must rewrite the site at pc
+// (false for non-sites and dead code). A load stays instrumented when
+// the location may carry taint; a store (or cmpxchg) also when its data
+// may be tainted — tainted data must reach the bitmap, and a may-tainted
+// target needs its stale tags cleared (region-0 digest equality). Both
+// stay when the address is derived from tainted data and the program
+// has any seed: the in-bounds assumption behind the points-to sets is
+// void when an attacker steers the pointer (the recovery load of the
 // spec-leak gadget reads one past its table through exactly such an
-// address), or — inside a permissive function — the address may be NaT
-// (full instrumentation would clean it; a skipped site would fault
-// where the full build does not).
-func (a *Analysis) InstrumentLoad(pc int) bool {
+// address). Inside a permissive function a may-NaT address keeps the
+// site too: full instrumentation would clean it, and a skipped site
+// would fault where the full build does not. An ld.s's location counts
+// as may-tainted whenever the program has any seed (see decide). A
+// compare stays when either operand may carry NaT.
+func (a *Analysis) Keep(pc int) bool {
 	f := a.At(pc)
-	return f.Live && (f.MemTaint ||
-		(f.AddrTaint && a.anySeed()) ||
-		(a.Permissive(pc) && f.AddrTaint))
-}
-
-// InstrumentStore reports whether a selective pass must rewrite the
-// store (or cmpxchg) at pc: tainted data must reach the bitmap, a
-// may-tainted target needs its stale tags cleared (region-0 digest
-// equality), a taint-derived address voids the in-bounds assumption
-// (same rule as loads: the target may be tainted memory whose tags the
-// store must clear), and permissive-function addresses must still be
-// cleaned.
-func (a *Analysis) InstrumentStore(pc int) bool {
-	f := a.At(pc)
-	return f.Live && (f.DataTaint || f.MemTaint ||
-		(f.AddrTaint && a.anySeed()) ||
-		(a.Permissive(pc) && f.AddrTaint))
-}
-
-// RelaxCompare reports whether the compare at pc may observe a NaT
-// operand and therefore needs the relaxation sequence.
-func (a *Analysis) RelaxCompare(pc int) bool {
-	f := a.At(pc)
-	return f.Live && f.OpTaint
+	if !f.Live {
+		return false
+	}
+	addr := f.AddrTaint && (a.anySeed() || a.Permissive(pc))
+	switch a.prog.Text[pc].Site() {
+	case isa.SiteLoad:
+		return f.MemTaint || addr
+	case isa.SiteStore:
+		return f.DataTaint || f.MemTaint || addr
+	case isa.SiteCompare:
+		return f.OpTaint
+	}
+	return false
 }

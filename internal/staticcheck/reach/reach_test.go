@@ -60,19 +60,19 @@ main:
 	if f := a.At(tainted); !f.Live || !f.MemTaint {
 		t.Errorf("load from received buffer: %+v, want live MemTaint", f)
 	}
-	if !a.InstrumentLoad(tainted) {
+	if !a.Keep(tainted) {
 		t.Error("load from received buffer not kept")
 	}
 	if f := a.At(cleanLd); !f.Live || f.MemTaint || f.AddrTaint {
 		t.Errorf("load from untouched object: %+v, want clean", f)
 	}
-	if a.InstrumentLoad(cleanLd) {
+	if a.Keep(cleanLd) {
 		t.Error("provably clean load kept")
 	}
-	if !a.RelaxCompare(at(t, p, isa.OpCmpi, 0)) {
+	if !a.Keep(at(t, p, isa.OpCmpi, 0)) {
 		t.Error("compare of tainted operand not relaxed")
 	}
-	if a.RelaxCompare(at(t, p, isa.OpCmpi, 1)) {
+	if a.Keep(at(t, p, isa.OpCmpi, 1)) {
 		t.Error("compare of clean operand relaxed")
 	}
 }
@@ -161,15 +161,15 @@ helper:
 `)
 	// Inside helper the tainted argument arrives in r32.
 	helper := p.Symbols["helper"]
-	if !a.RelaxCompare(helper) {
+	if !a.Keep(helper) {
 		t.Error("callee compare on tainted argument not relaxed")
 	}
 	// After the call, scratch r14 may have been clobbered with anything
 	// tainted; callee-saved r40 was never written and stays clean.
-	if !a.RelaxCompare(at(t, p, isa.OpCmpi, 0)) {
+	if !a.Keep(at(t, p, isa.OpCmpi, 0)) {
 		t.Error("post-call compare on scratch register not relaxed")
 	}
-	if a.RelaxCompare(at(t, p, isa.OpCmpi, 1)) {
+	if a.Keep(at(t, p, isa.OpCmpi, 1)) {
 		t.Error("post-call compare on callee-saved register relaxed")
 	}
 }
@@ -197,7 +197,7 @@ rec:
 	movl r32 = 1
 	syscall 1
 `)
-	if a.RelaxCompare(at(t, p, isa.OpCmpi, 0)) {
+	if a.Keep(at(t, p, isa.OpCmpi, 0)) {
 		t.Error("compare after chk.s fallthrough relaxed")
 	}
 }
@@ -227,7 +227,7 @@ done:
 	if f := a.At(ld); f.Live {
 		t.Errorf("unreached load live: %+v", f)
 	}
-	if a.InstrumentLoad(ld) {
+	if a.Keep(ld) {
 		t.Error("dead load kept")
 	}
 	if s := a.Stats(); s.DeadSites != 2 {
@@ -257,7 +257,7 @@ other:
 	movl r32 = 0
 	syscall 1
 `)
-	if !a.RelaxCompare(at(t, p, isa.OpCmpi, 0)) {
+	if !a.Keep(at(t, p, isa.OpCmpi, 0)) {
 		t.Error("compare reached via br.ind lost the operand's taint")
 	}
 }
@@ -348,14 +348,14 @@ lookup:
 	if f := perm.At(idx); !f.AddrTaint {
 		t.Fatalf("tainted-index table load has no AddrTaint: %+v", f)
 	}
-	if !perm.InstrumentLoad(idx) {
+	if !perm.Keep(idx) {
 		t.Error("tainted-address load in a permissive function skipped")
 	}
 	// Outside permissive functions a taint-derived address still keeps
 	// the site: the points-to in-bounds assumption says the load stays
 	// inside the (clean) table, but an attacker-steered index is exactly
 	// how that assumption is violated at run time.
-	if !plain.InstrumentLoad(idx) {
+	if !plain.Keep(idx) {
 		t.Error("tainted-address load skipped outside a permissive function")
 	}
 }

@@ -32,28 +32,6 @@ type Stats struct {
 	DeadSites  int  `json:"dead_sites"` // sites in unreachable code
 }
 
-// siteKept reports whether the selective pass would instrument the site
-// at pc (false for non-sites).
-func (a *Analysis) siteKept(pc int) (site, kept bool) {
-	ins := &a.prog.Text[pc]
-	switch ins.Flow() {
-	case isa.FlowLoad, isa.FlowLoadSpec, isa.FlowFill:
-		if ins.ABI {
-			return false, false
-		}
-		return true, a.InstrumentLoad(pc)
-	case isa.FlowStore, isa.FlowCmpxchg:
-		if ins.ABI {
-			return false, false
-		}
-		return true, a.InstrumentStore(pc)
-	}
-	if ins.Op == isa.OpCmp || ins.Op == isa.OpCmpi {
-		return true, a.RelaxCompare(pc)
-	}
-	return false, false
-}
-
 // isSeed reports whether the instruction can mark taint at run time.
 func (a *Analysis) isSeed(pc int) bool {
 	ins := &a.prog.Text[pc]
@@ -112,9 +90,9 @@ func (a *Analysis) Blocks() []BlockFact {
 			if a.facts[pc].Live {
 				b.Live = true
 			}
-			if site, kept := a.siteKept(pc); site {
+			if p.Text[pc].Site() != isa.SiteNone {
 				b.Sites++
-				if kept {
+				if a.Keep(pc) {
 					b.Kept++
 				}
 			}
@@ -146,8 +124,7 @@ func (a *Analysis) Stats() Stats {
 	}
 	s.Blocks = len(a.Blocks())
 	for pc := range a.prog.Text {
-		site, kept := a.siteKept(pc)
-		if !site {
+		if a.prog.Text[pc].Site() == isa.SiteNone {
 			continue
 		}
 		s.Sites++
@@ -155,7 +132,7 @@ func (a *Analysis) Stats() Stats {
 		case !a.facts[pc].Live:
 			s.DeadSites++
 			s.Skipped++
-		case kept:
+		case a.Keep(pc):
 			s.Kept++
 		default:
 			s.Skipped++
