@@ -13,9 +13,9 @@
 // experiment cells run concurrently (0 = one per CPU; the results are
 // identical at any setting). -engine selects the execution engine for
 // unhooked runs (the default block engine and the reference interpreter
-// produce identical results; the flag exists for performance
-// comparison). -tagpipe moves the instrumented runs' shadow checking
-// onto the decoupled tag pipeline (verdicts are unchanged, throughput is
+// print identical output; the flag exists for performance comparison).
+// -tagpipe moves the instrumented runs' shadow checking onto the
+// decoupled tag pipeline (verdicts are unchanged, throughput is
 // not); its checker is a StepHook, so those runs always interpret,
 // whatever -engine says.
 // -selective applies whole-program taint-reachability analysis before
@@ -83,10 +83,6 @@ func main() {
 	if err := bench.PrintAll(os.Stdout, *experiment, *scaleDiv, *requests); err != nil {
 		fmt.Fprintln(os.Stderr, "shiftbench:", err)
 		os.Exit(1)
-	}
-	if engine == machine.EngineBlock {
-		caches, blocks := machine.TranslationTotals()
-		fmt.Printf("\nblock translation: %d program texts cached, %d basic blocks compiled\n", caches, blocks)
 	}
 
 	if *memprofile != "" {

@@ -6,6 +6,10 @@
 //
 //	shiftcc [-instrument] [-gran byte|word] [-enhancements] [-policy file]
 //	        [-no-runtime] [-stats] file.mc [file2.mc ...]
+//
+// -gran sets the tracking granularity. With -policy, the policy file's
+// "granularity" line applies unless -gran is given explicitly, which
+// overrides it.
 package main
 
 import (
@@ -61,6 +65,12 @@ func main() {
 			fmt.Fprintln(os.Stderr, "shiftcc:", err)
 			os.Exit(1)
 		}
+		// An explicit -gran overrides the policy file's granularity.
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "gran" {
+				conf.Granularity = opt.Granularity
+			}
+		})
 		opt.Policy = conf
 	}
 

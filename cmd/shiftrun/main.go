@@ -26,6 +26,10 @@
 // shift_selective_sites_kept / shift_selective_sites_skipped gauges
 // when -metrics is set.
 //
+// -gran sets the tracking granularity. With -policy, the policy file's
+// "granularity" line applies unless -gran is given explicitly, which
+// overrides it.
+//
 // -net supplies network input (a taint source), -file mounts a host file
 // into the simulated filesystem, -arg appends a program argument.
 // -oracle runs the lockstep reference DIFT engine alongside execution and
@@ -149,6 +153,12 @@ func main() {
 			fmt.Fprintln(os.Stderr, "shiftrun:", err)
 			os.Exit(1)
 		}
+		// An explicit -gran overrides the policy file's granularity.
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "gran" {
+				conf.Granularity = opt.Granularity
+			}
+		})
 		opt.Policy = conf
 	}
 

@@ -143,3 +143,42 @@ func TestTagpipeZeroIsInline(t *testing.T) {
 		}
 	}
 }
+
+// An explicit -gran overrides the policy file's granularity: -gran word
+// with a policy that names none runs exactly like a policy that says
+// "granularity word", and unlike -gran byte.
+func TestGranOverridesPolicy(t *testing.T) {
+	prog := writeProg(t, tinyProg)
+	dir := t.TempDir()
+	writePolicy := func(name, text string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	plain := writePolicy("plain.conf", "source network\nenable H1\n")
+	word := writePolicy("word.conf", "granularity word\nsource network\nenable H1\n")
+	cycles := func(args ...string) string {
+		t.Helper()
+		args = append([]string{"-protect", "-counters", "-net", "hello worlds!"}, append(args, prog)...)
+		code, out, errb := runCmd(t, args...)
+		if code != 0 {
+			t.Fatalf("%v: exit %d\n%s", args, code, errb)
+		}
+		for _, line := range strings.Split(out, "\n") {
+			if strings.HasPrefix(line, "cycles: ") {
+				return line
+			}
+		}
+		t.Fatalf("%v: no counters line:\n%s", args, out)
+		return ""
+	}
+	override := cycles("-gran", "word", "-policy", plain)
+	if want := cycles("-policy", word); override != want {
+		t.Errorf("-gran word -policy: %q, want the word-granularity policy's %q", override, want)
+	}
+	if byteRun := cycles("-gran", "byte", "-policy", plain); override == byteRun {
+		t.Errorf("-gran word and -gran byte both print %q", override)
+	}
+}

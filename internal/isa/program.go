@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Program is a linked or linkable unit: an instruction sequence plus the
@@ -23,6 +24,20 @@ type Program struct {
 
 	// Entry is the instruction index where execution starts.
 	Entry int
+
+	// engineOnce/engine hold the execution engine's derived data (see
+	// EngineCache). The Once makes copying a Program by value a vet error.
+	engineOnce sync.Once
+	engine     any
+}
+
+// EngineCache returns the program's execution-engine data, calling build
+// once — concurrently safe — on first use. The data is derived from Text,
+// so Text must not be edited in place once the program has run; assign a
+// new slice instead, which the engine detects.
+func (p *Program) EngineCache(build func() any) any {
+	p.engineOnce.Do(func() { p.engine = build() })
+	return p.engine
 }
 
 // Link resolves every symbolic branch target to an instruction index.

@@ -2,7 +2,7 @@
 // basic block, its instructions are pre-decoded into a compact micro-op
 // array (operand registers, immediates, cost classes and memory widths
 // resolved; the self-clearing idioms recognized) and the array is cached
-// in a per-text translation cache keyed by entry PC. Subsequent
+// in the program's translation cache keyed by entry PC. Subsequent
 // executions run the micro-ops through one flat switch loop, skipping
 // the fetch and operand-decode work of the reference interpreter in exec
 // and binding fixed-width memory accesses to the mem package's
@@ -30,9 +30,7 @@
 package machine
 
 import (
-	"container/list"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"shift/internal/isa"
@@ -189,9 +187,9 @@ type block struct {
 
 // BlockStats counts the machine's translation-cache traffic. Hits and
 // misses are per block *execution*, compiled per block built by this
-// machine, invalidations per stale cache dropped on a program swap.
-// Reset zeroes the counters along with the other accounting; the cache
-// itself survives.
+// machine, invalidations per stale cache dropped on a program swap or
+// a Text reassignment. Reset zeroes the counters along with the other
+// accounting; the cache itself survives.
 type BlockStats struct {
 	Compiled      uint64
 	Hits          uint64
@@ -199,40 +197,25 @@ type BlockStats struct {
 	Invalidations uint64
 }
 
-// TransCache is the shared translation cache for one program text:
-// compiled blocks indexed by entry PC. Lookups are lock-free atomic
-// loads; concurrent first executions of the same block may compile it
-// twice, which is benign — the blocks are identical and immutable, and
-// the last store wins.
+// TransCache is one program text's translation cache: compiled blocks
+// indexed by entry PC. It hangs on the *isa.Program (EngineCache), so
+// every machine over one program — pooled guests, spawned threads,
+// Reset reruns — shares it. Lookups are lock-free atomic loads;
+// concurrent first executions of the same block may compile it twice,
+// which is benign — the blocks are identical and immutable, and the
+// last store wins.
 type TransCache struct {
-	text     []isa.Instruction
-	blocks   []atomic.Pointer[block]
-	compiled atomic.Uint64 // blocks ever stored (duplicates included)
-	hash     uint64        // registry bucket key (for O(1) eviction)
-	elem     *list.Element // registry LRU slot; nil once evicted
+	text   []isa.Instruction
+	blocks []atomic.Pointer[block]
 }
 
-// Blocks returns how many block compilations this cache has absorbed.
-func (tc *TransCache) Blocks() uint64 { return tc.compiled.Load() }
+func newTransCache(text []isa.Instruction) *TransCache {
+	return &TransCache{text: text, blocks: make([]atomic.Pointer[block], len(text))}
+}
 
-// matches reports whether the cache was compiled for exactly this text.
-// The pointer identity fast path covers machines sharing one program;
-// the content comparison covers separate runs rebuilding an identical
-// program (the bench harness re-executes the same instrumented program
-// across cells and file sizes).
-func (tc *TransCache) matches(text []isa.Instruction) bool {
-	if len(tc.text) != len(text) {
-		return false
-	}
-	if len(text) == 0 || &tc.text[0] == &text[0] {
-		return true
-	}
-	for i := range text {
-		if tc.text[i] != text[i] {
-			return false
-		}
-	}
-	return true
+// compiledFor reports whether the cache was built for this very slice.
+func (tc *TransCache) compiledFor(text []isa.Instruction) bool {
+	return len(tc.text) == len(text) && (len(text) == 0 || &tc.text[0] == &text[0])
 }
 
 // lookup returns the compiled block starting at pc, compiling it on
@@ -245,151 +228,8 @@ func (tc *TransCache) lookup(m *Machine, pc int) *block {
 	m.BlockStats.Misses++
 	b := compileBlock(tc.text, pc)
 	tc.blocks[pc].Store(b)
-	tc.compiled.Add(1)
 	m.BlockStats.Compiled++
 	return b
-}
-
-// transRegistry is the process-wide home of translation caches, keyed
-// by a content hash of the program text so runs that rebuild an
-// identical program (every bench cell, every reset) share one cache.
-// The mutex guards only attach — once a machine holds its *TransCache,
-// block lookups never touch the registry.
-//
-// Retention is bounded: caches sit in an LRU list (most recently
-// attached first) capped at limit distinct texts. A long-lived process
-// that keeps compiling fresh programs — the fuzz harness, a pooled
-// server — evicts cold texts instead of holding every program it ever
-// saw. Eviction only forgets the compilation: machines still holding an
-// evicted cache keep executing through it (the identity fast path never
-// consults the registry), and a re-attach simply recompiles.
-var transRegistry struct {
-	mu        sync.Mutex
-	byHash    map[uint64][]*TransCache
-	lru       list.List // *TransCache, front = most recently attached
-	limit     int
-	evictions uint64
-}
-
-// DefaultTranslationCacheLimit is the registry's default cap on
-// retained program texts.
-const DefaultTranslationCacheLimit = 64
-
-// SetTranslationCacheLimit caps the registry at n retained texts
-// (minimum 1), evicting immediately if it is over, and returns the
-// previous limit. Process-wide; tests use it to shrink and restore.
-func SetTranslationCacheLimit(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	transRegistry.mu.Lock()
-	defer transRegistry.mu.Unlock()
-	prev := registryLimit()
-	transRegistry.limit = n
-	evictOverLimit()
-	return prev
-}
-
-// TranslationEvictions reports how many caches the registry has evicted.
-func TranslationEvictions() uint64 {
-	transRegistry.mu.Lock()
-	defer transRegistry.mu.Unlock()
-	return transRegistry.evictions
-}
-
-// registryLimit returns the effective cap (callers hold the mutex).
-func registryLimit() int {
-	if transRegistry.limit < 1 {
-		return DefaultTranslationCacheLimit
-	}
-	return transRegistry.limit
-}
-
-// evictOverLimit drops least-recently-attached caches until the registry
-// is within its cap (callers hold the mutex).
-func evictOverLimit() {
-	limit := registryLimit()
-	for transRegistry.lru.Len() > limit {
-		back := transRegistry.lru.Back()
-		tc := back.Value.(*TransCache)
-		transRegistry.lru.Remove(back)
-		tc.elem = nil
-		bucket := transRegistry.byHash[tc.hash]
-		for i, c := range bucket {
-			if c == tc {
-				bucket = append(bucket[:i], bucket[i+1:]...)
-				break
-			}
-		}
-		if len(bucket) == 0 {
-			delete(transRegistry.byHash, tc.hash)
-		} else {
-			transRegistry.byHash[tc.hash] = bucket
-		}
-		transRegistry.evictions++
-	}
-}
-
-// hashText hashes the semantic fields of every instruction (FNV-1a).
-// Hash collisions are resolved by full comparison in matches, so the
-// field choice only affects bucket quality, not correctness.
-func hashText(text []isa.Instruction) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		h = (h ^ v) * prime64
-	}
-	mix(uint64(len(text)))
-	for i := range text {
-		ins := &text[i]
-		mix(uint64(ins.Op) | uint64(ins.Qp)<<8 | uint64(ins.Dest)<<16 |
-			uint64(ins.Src1)<<24 | uint64(ins.Src2)<<32 | uint64(ins.P1)<<40 |
-			uint64(ins.P2)<<48 | uint64(ins.B)<<56)
-		mix(uint64(ins.Size) | uint64(ins.Cond)<<8 | uint64(ins.Class)<<16)
-		mix(uint64(ins.Imm))
-		mix(uint64(ins.Target))
-	}
-	return h
-}
-
-// translationsFor returns the shared cache for text, creating it on
-// first sight of this program content.
-func translationsFor(text []isa.Instruction) *TransCache {
-	h := hashText(text)
-	transRegistry.mu.Lock()
-	defer transRegistry.mu.Unlock()
-	if transRegistry.byHash == nil {
-		transRegistry.byHash = make(map[uint64][]*TransCache)
-	}
-	for _, tc := range transRegistry.byHash[h] {
-		if tc.matches(text) {
-			transRegistry.lru.MoveToFront(tc.elem)
-			return tc
-		}
-	}
-	tc := &TransCache{text: text, blocks: make([]atomic.Pointer[block], len(text)), hash: h}
-	tc.elem = transRegistry.lru.PushFront(tc)
-	transRegistry.byHash[h] = append(transRegistry.byHash[h], tc)
-	evictOverLimit()
-	return tc
-}
-
-// TranslationTotals reports process-wide translation-registry
-// aggregates: distinct program texts with a cache, and total block
-// compilations.
-func TranslationTotals() (caches, blocks uint64) {
-	transRegistry.mu.Lock()
-	defer transRegistry.mu.Unlock()
-	for _, list := range transRegistry.byHash {
-		for _, tc := range list {
-			caches++
-			blocks += tc.compiled.Load()
-		}
-	}
-	return caches, blocks
 }
 
 // Translations returns the machine's attached translation cache (nil
@@ -397,27 +237,23 @@ func TranslationTotals() (caches, blocks uint64) {
 // property of the program text, not of one run.
 func (m *Machine) Translations() *TransCache { return m.tc }
 
-// translations returns the cache valid for text, attaching through the
-// registry when the machine has none or a program swap made the
-// attached one stale. The fast path is one pointer identity check per
-// slice.
+// translations returns the cache valid for text. The fast path is one
+// pointer identity check against the attached cache; on a miss (first
+// run, or a program swap made the attached cache stale) the machine
+// attaches its program's cache. If the program's Text was reassigned
+// after that cache was built, the machine compiles into a private one.
 func (m *Machine) translations(text []isa.Instruction) *TransCache {
-	tc := m.tc
-	if tc != nil {
-		if len(m.tcText) == len(text) && (len(text) == 0 || &m.tcText[0] == &text[0]) {
-			return tc
-		}
-		if tc.matches(text) {
-			// Same program content behind a different slice header (a
-			// Prog swap to an identical build); revalidate, don't drop.
-			m.tcText = text
+	if tc := m.tc; tc != nil {
+		if tc.compiledFor(text) {
 			return tc
 		}
 		m.BlockStats.Invalidations++
 	}
-	tc = translationsFor(text)
+	tc := m.Prog.EngineCache(func() any { return newTransCache(m.Prog.Text) }).(*TransCache)
+	if !tc.compiledFor(text) {
+		tc = newTransCache(text)
+	}
 	m.tc = tc
-	m.tcText = text
 	return tc
 }
 

@@ -372,8 +372,8 @@ func (h *recordingHook) PostStep(m *Machine, ins *isa.Instruction) error {
 // every rerun recompiles the whole program. Before the fix, Reset wiped
 // the cache attachment and the second run rebuilt every block.
 func TestResetKeepsTranslations(t *testing.T) {
-	// A source unique to this test: the registry shares caches by program
-	// content, so reusing a corpus program would start with a warm cache.
+	// The cache belongs to the freshly assembled program, so the first
+	// run starts cold.
 	src := `
 	movl r1 = 31337
 	movl r2 = 0
@@ -417,21 +417,20 @@ loop:
 	}
 }
 
-// TestTranslationSharedAcrossRuns: two machines running byte-identical
-// program texts assembled separately share one translation cache through
-// the registry — the cache is keyed by program content, not identity.
+// TestTranslationSharedAcrossRuns: two machines over one program share
+// the program's translation cache, so the second compiles nothing.
 func TestTranslationSharedAcrossRuns(t *testing.T) {
 	src := parityPrograms[0].src
 	m1 := newTestMachine(t, src, EngineBlock, nil)
 	if trap := m1.Run(); trap != nil {
 		t.Fatal(trap)
 	}
-	m2 := newTestMachine(t, src, EngineBlock, nil)
+	m2 := newTestMachine(t, src, EngineBlock, func(m *Machine) { m.Prog = m1.Prog })
 	if trap := m2.Run(); trap != nil {
 		t.Fatal(trap)
 	}
 	if m1.Translations() == nil || m1.Translations() != m2.Translations() {
-		t.Fatalf("identical programs did not share a translation cache: %p vs %p",
+		t.Fatalf("machines over one program did not share a translation cache: %p vs %p",
 			m1.Translations(), m2.Translations())
 	}
 	if m2.BlockStats.Compiled != 0 {
@@ -439,6 +438,38 @@ func TestTranslationSharedAcrossRuns(t *testing.T) {
 	}
 	if m2.BlockStats.Hits == 0 {
 		t.Fatal("second machine did not hit the shared cache")
+	}
+}
+
+// TestTranslationTextReassigned: a program whose Text is reassigned
+// after a block-engine run keeps its stale cache, which no machine may
+// execute through — a fresh machine, and the old one rerun, must run
+// the new code from a private cache.
+func TestTranslationTextReassigned(t *testing.T) {
+	m1 := newTestMachine(t, parityPrograms[0].src, EngineBlock, nil)
+	if trap := m1.Run(); trap != nil {
+		t.Fatal(trap)
+	}
+	stale := m1.Translations()
+	p2, err := asm.Assemble("movl r32 = 77\nsyscall 1\n", asm.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := m1.Prog
+	prog.Text, prog.Entry = p2.Text, p2.Entry
+
+	m2 := newTestMachine(t, "nop\n", EngineBlock, func(m *Machine) { m.Prog = prog; m.PC = prog.Entry })
+	m1.Reset()
+	for _, m := range []*Machine{m2, m1} {
+		if trap := m.Run(); trap != nil {
+			t.Fatal(trap)
+		}
+		if m.ExitStatus != 77 {
+			t.Errorf("exit = %d, want 77 from the reassigned text", m.ExitStatus)
+		}
+		if m.Translations() == nil || m.Translations() == stale {
+			t.Error("machine executed through the stale translation cache")
+		}
 	}
 }
 

@@ -268,12 +268,10 @@ type Machine struct {
 	// survives.
 	BlockStats BlockStats
 
-	// tc is the attached translation cache; tcText is the text slice it
-	// was last validated against (the per-slice identity fast path).
-	// Both survive Reset: compiled blocks are a property of the program
-	// text, not of one run.
-	tc     *TransCache
-	tcText []isa.Instruction
+	// tc is the attached translation cache, normally the program's own
+	// (see translations). It survives Reset: compiled blocks are a
+	// property of the program text, not of one run.
+	tc *TransCache
 }
 
 // Stats holds the optional accounting a Machine only pays for when a
@@ -342,7 +340,7 @@ func (m *Machine) ResetKeepIdentity() {
 
 func (m *Machine) reset(tid int, hook StepHook) {
 	st := m.Stats
-	*m = Machine{Prog: m.Prog, Mem: m.Mem, OS: m.OS, Feat: m.Feat, Costs: m.Costs, Budget: m.Budget, TID: tid, Hook: hook, UnsafePreempt: m.UnsafePreempt, Stats: st, Engine: m.Engine, tc: m.tc, tcText: m.tcText}
+	*m = Machine{Prog: m.Prog, Mem: m.Mem, OS: m.OS, Feat: m.Feat, Costs: m.Costs, Budget: m.Budget, TID: tid, Hook: hook, UnsafePreempt: m.UnsafePreempt, Stats: st, Engine: m.Engine, tc: m.tc}
 	if st != nil {
 		prof := st.Profile
 		*st = Stats{}

@@ -48,10 +48,6 @@ func (s *Scheduler) Spawn(entry int, arg int64, sp uint64) int {
 	m.Hook = src.Hook
 	m.UnsafePreempt = src.UnsafePreempt
 	m.Engine = src.Engine
-	// Share the main thread's translation cache: all threads execute the
-	// same program text, so blocks compiled by any thread serve them all.
-	m.tc = src.tc
-	m.tcText = src.tcText
 	m.PC = entry
 	m.BR[0] = HaltPC // returning from the entry function halts the thread
 	m.GR[isa.RegSP] = int64(sp)

@@ -115,14 +115,7 @@ func (p *Pool) newGuest() *Guest {
 	mach.RestoreRegs(p.regs)
 	g := &Guest{mach: mach}
 	if p.opt.Instrument {
-		conf := p.opt.Policy
-		if conf == nil {
-			conf = policy.DefaultConfig()
-		}
-		gran := p.opt.Granularity
-		if p.opt.Policy != nil {
-			gran = conf.Granularity
-		}
+		conf, gran := p.opt.ResolvePolicy()
 		g.tags = taint.NewSpace(m, gran)
 		g.engine = policy.NewEngine(conf)
 	}

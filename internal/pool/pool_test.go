@@ -176,6 +176,19 @@ func TestPoolConcurrentRequestsIsolated(t *testing.T) {
 			t.Fatalf("request %d: NetOut = %q, want %q", i, outs[i], want)
 		}
 	}
+	// The pool runs unhooked, so every guest executed on the block engine
+	// through the one translation cache its shared program owns.
+	guests := make([]*Guest, 3)
+	for i := range guests {
+		guests[i] = p.Acquire()
+		tc := guests[i].Machine().Translations()
+		if tc == nil || tc != guests[0].Machine().Translations() {
+			t.Fatalf("guest %d translations = %p, guest 0 has %p", i, tc, guests[0].Machine().Translations())
+		}
+	}
+	for _, g := range guests {
+		p.Release(g)
+	}
 	if st := p.Stats(); st.Busy != 0 {
 		t.Fatalf("pool busy = %d after drain, want 0", st.Busy)
 	}

@@ -202,8 +202,8 @@ func TestEngineDifferentialAttacks(t *testing.T) {
 // translated-block boundaries: threaded guests under small quanta must
 // schedule identically on both engines (the block engine's per-op
 // preemption check mirrors the interpreter's tag-coherent slice ends).
-// The -race CI stage runs this too, covering the shared translation
-// registry under concurrent machine construction.
+// The -race CI stage runs this too, covering threads that share their
+// program's translation cache.
 func TestEngineDifferentialThreads(t *testing.T) {
 	src := `
 char log[128];

@@ -167,20 +167,23 @@ func BuildAsm(name, text string, opt Options) (*isa.Program, error) {
 	return instrumentProg(prog, opt)
 }
 
+// ResolvePolicy returns the policy in force — Policy, or
+// policy.DefaultConfig when nil — and the tracking granularity: the
+// policy's when Policy is set, Granularity otherwise.
+func (opt Options) ResolvePolicy() (*policy.Config, taint.Granularity) {
+	if opt.Policy != nil {
+		return opt.Policy, opt.Policy.Granularity
+	}
+	return policy.DefaultConfig(), opt.Granularity
+}
+
 // instrumentProg applies the SHIFT pass per the run options (the shared
 // tail of Build and BuildAsm).
 func instrumentProg(prog *isa.Program, opt Options) (*isa.Program, error) {
 	if !opt.Instrument {
 		return prog, nil
 	}
-	conf := opt.Policy
-	if conf == nil {
-		conf = policy.DefaultConfig()
-	}
-	gran := opt.Granularity
-	if opt.Policy != nil {
-		gran = conf.Granularity
-	}
+	conf, gran := opt.ResolvePolicy()
 	return instrument.Apply(prog, instrument.Options{
 		Gran:             gran,
 		Feat:             opt.Features,
@@ -279,15 +282,8 @@ func RunOn(mach *machine.Machine, world *World, opt Options) (*Result, error) {
 	if world == nil {
 		world = NewWorld()
 	}
-	conf := opt.Policy
-	if conf == nil {
-		conf = policy.DefaultConfig()
-	}
 	if opt.Instrument {
-		gran := opt.Granularity
-		if opt.Policy != nil {
-			gran = conf.Granularity
-		}
+		conf, gran := opt.ResolvePolicy()
 		if world.Tags == nil {
 			world.Tags = taint.NewSpace(mach.Mem, gran)
 		}
