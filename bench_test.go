@@ -21,7 +21,7 @@ const benchScaleDiv = 8
 // 8 attacks x 2 granularities x {benign, exploit, unprotected}.
 func BenchmarkTable2AttackDetection(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		results, err := bench.Table2()
+		results, err := bench.Harness{}.Table2()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -42,7 +42,7 @@ func BenchmarkTable2AttackDetection(b *testing.B) {
 // sizes and reports the worst-case (4KB) overhead percentage.
 func BenchmarkFig6Apache(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.Fig6(50, []int{4 * 1024, 8 * 1024, 16 * 1024, 512 * 1024})
+		rows, err := bench.Harness{}.Fig6(50, []int{4 * 1024, 8 * 1024, 16 * 1024, 512 * 1024})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -60,7 +60,7 @@ func BenchmarkFig6Apache(b *testing.B) {
 // unsafe/safe) and reports the geometric means.
 func BenchmarkFig7Spec(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.Fig7(benchScaleDiv)
+		rows, err := bench.Harness{}.Fig7(benchScaleDiv)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -73,7 +73,7 @@ func BenchmarkFig7Spec(b *testing.B) {
 // reports the slowdown-point reduction of the full enhancement set.
 func BenchmarkFig8Enhancements(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.Fig8(benchScaleDiv)
+		rows, err := bench.Harness{}.Fig8(benchScaleDiv)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func BenchmarkFig8Enhancements(b *testing.B) {
 // reports the load-computation share (the paper's dominant component).
 func BenchmarkFig9Breakdown(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.Fig9(benchScaleDiv)
+		rows, err := bench.Harness{}.Fig9(benchScaleDiv)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -104,7 +104,7 @@ func BenchmarkFig9Breakdown(b *testing.B) {
 // byte-level expansion of the runtime library (the glibc analogue).
 func BenchmarkTable3CodeSize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.Table3()
+		rows, err := bench.Harness{}.Table3()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -116,7 +116,7 @@ func BenchmarkTable3CodeSize(b *testing.B) {
 // the NaT source per function) and reports the cost ratio.
 func BenchmarkAblationNatPerFunction(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.Ablation(benchScaleDiv)
+		rows, err := bench.Harness{}.Ablation(benchScaleDiv)
 		if err != nil {
 			b.Fatal(err)
 		}

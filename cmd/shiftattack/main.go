@@ -83,35 +83,6 @@ func listCorpus(asJSON bool) error {
 	return tw.Flush()
 }
 
-// matrixConfigs mirrors the corpus matrix test: every checker
-// configuration the corpus must detect under.
-func matrixConfigs() []attacks.EvalOptions {
-	var out []attacks.EvalOptions
-	for _, gran := range []taint.Granularity{taint.Byte, taint.Word} {
-		out = append(out,
-			attacks.EvalOptions{Gran: gran},
-			attacks.EvalOptions{Gran: gran, Oracle: true},
-			attacks.EvalOptions{Gran: gran, Decoupled: true},
-			attacks.EvalOptions{Gran: gran, Selective: true, Oracle: true},
-		)
-	}
-	return out
-}
-
-func optLabel(eo attacks.EvalOptions) string {
-	l := eo.Gran.String()
-	if eo.Oracle {
-		l += "+oracle"
-	}
-	if eo.Decoupled {
-		l += "+tagpipe"
-	}
-	if eo.Selective {
-		l += "+selective"
-	}
-	return l
-}
-
 // runCorpus prints the detection-precision matrix: every scenario at
 // every checker configuration, with the exploit verdict (policy and
 // path), the benign verdict, and the channel attribution.
@@ -120,8 +91,8 @@ func runCorpus() error {
 	fmt.Fprintln(tw, "SCENARIO\tCONFIG\tEXPLOIT\tBENIGN\tCHANNELS\tOK")
 	failed := 0
 	total := 0
-	for _, eo := range matrixConfigs() {
-		outs, err := attacks.EvaluateCorpus(eo)
+	for _, opt := range attacks.Matrix(taint.Byte, taint.Word) {
+		outs, err := attacks.EvaluateCorpus(opt)
 		if err != nil {
 			return err
 		}
@@ -132,7 +103,7 @@ func runCorpus() error {
 				failed++
 			}
 			fmt.Fprintf(tw, "%s\t%s\t%s/%s\t%s\t%s\t%v\n",
-				o.Scenario.Name, optLabel(eo),
+				o.Scenario.Name, attacks.Label(opt),
 				o.Exploit.Policy, o.Exploit.Kind, o.Benign.Kind,
 				o.Exploit.Channels, ok)
 		}
@@ -170,7 +141,7 @@ func main() {
 		return
 	}
 
-	results, err := attacks.EvaluateAll()
+	results, err := bench.Harness{}.Table2()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "shiftattack:", err)
 		os.Exit(1)
@@ -178,13 +149,15 @@ func main() {
 	bench.PrintTable2(os.Stdout, results)
 
 	failed := 0
-	for _, r := range results {
-		if !r.Detected() {
+	for _, o := range results {
+		if !o.Detected() {
 			failed++
 		}
 		if *verbose {
-			fmt.Printf("\n%s @ %s-level:\n  benign alert: %q\n  exploit policy: %q\n  exploit succeeds unprotected: %v\n",
-				r.Attack.Program, r.Gran, r.BenignAlert, r.ExploitPolicy, r.UnprotectedSucceeded)
+			_, gran := o.Opt.ResolvePolicy()
+			fmt.Printf("\n%s @ %s-level:\n  benign: %s %s\n  exploit: %s %s\n  unprotected exploit: %s %s\n",
+				o.Scenario.Program, gran, o.Benign.Kind, o.Benign.Detail,
+				o.Exploit.Kind, o.Exploit.Policy, o.Unprotected.Kind, o.Unprotected.Detail)
 		}
 	}
 	if failed > 0 {

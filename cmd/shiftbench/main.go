@@ -33,17 +33,16 @@ import (
 	"runtime/pprof"
 
 	"shift/internal/bench"
-	"shift/internal/machine"
+	"shift/internal/shift"
 )
 
 func main() {
 	experiment := flag.String("experiment", "all", "which experiment to run (all, table1, table2, table3, fig6, fig7, fig8, fig9, ablation)")
 	scaleDiv := flag.Int("scale-div", 1, "divide reference input scales by this factor")
 	requests := flag.Int("requests", 1000, "Figure 6 request count")
-	workers := flag.Int("workers", 0, "max concurrent experiment cells (0 = NumCPU, 1 = serial)")
-	tagpipeOn := flag.Bool("tagpipe", false, "check instrumented runs with the decoupled tag pipeline instead of inline")
-	selective := flag.Bool("selective", false, "instrument only statically taint-reachable sites in instrumented runs")
-	engineName := flag.String("engine", "block", "execution engine for unhooked runs: block or interp (-tagpipe runs always interpret)")
+	var h bench.Harness
+	flag.IntVar(&h.Workers, "workers", 0, "max concurrent experiment cells (0 = NumCPU, 1 = serial)")
+	shift.BindFlags(flag.CommandLine, &h.Base, "tagpipe", "selective", "engine")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file")
 	flag.Parse()
@@ -56,15 +55,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "shiftbench: -scale-div must be >= 1")
 		os.Exit(2)
 	}
-	bench.Workers = *workers
-	bench.Tagpipe = *tagpipeOn
-	bench.Selective = *selective
-	engine, ok := machine.EngineFromString(*engineName)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "shiftbench: unknown engine %q (want block or interp)\n", *engineName)
-		os.Exit(2)
-	}
-	bench.Engine = engine
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -80,7 +70,7 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	if err := bench.PrintAll(os.Stdout, *experiment, *scaleDiv, *requests); err != nil {
+	if err := h.PrintAll(os.Stdout, *experiment, *scaleDiv, *requests); err != nil {
 		fmt.Fprintln(os.Stderr, "shiftbench:", err)
 		os.Exit(1)
 	}

@@ -37,26 +37,47 @@ import (
 	"shift/internal/workload"
 )
 
-// buildOptions is the server's run configuration: instrumented guest,
-// default H-policies with network+file sources, the decoupled tag
-// pipeline as the checker when tagpipe is set, and — when selective is
-// set — taint-reachability-pruned instrumentation.
-func buildOptions(tagpipe, selective bool) shift.Options {
-	opt := shift.Options{
+// config is shiftd's command line: the guests' run options plus the
+// server's own settings.
+type config struct {
+	opt           shift.Options
+	addr          string
+	poolSize      int
+	smoke, sweep  bool
+	sweepRequests int
+	sweepMax      int
+}
+
+// parseFlags parses shiftd's command line on fs. The guests' run options
+// start as the server's configuration: instrumented guest, default
+// H-policies with network+file sources, and the decoupled tag pipeline
+// as the checker (-tagpipe defaults to true); -selective prunes the
+// instrumentation to taint-reachable sites.
+func parseFlags(fs *flag.FlagSet, args []string) (*config, error) {
+	c := &config{opt: shift.Options{
 		Instrument: true,
 		Policy:     workload.HTTPDConfig(),
-		Selective:  selective,
+		Decoupled:  1,
 		InstrStats: new(instrument.Stats),
+	}}
+	fs.StringVar(&c.addr, "addr", "127.0.0.1:8080", "listen address")
+	fs.IntVar(&c.poolSize, "pool", 4, "warm guests in the pool")
+	shift.BindFlags(fs, &c.opt, "tagpipe", "selective")
+	fs.BoolVar(&c.smoke, "smoke", false, "run the smoke check against a live server and exit")
+	fs.BoolVar(&c.sweep, "sweep", false, "run the load harness and exit")
+	fs.IntVar(&c.sweepRequests, "sweep-requests", 2000, "requests per sweep level")
+	fs.IntVar(&c.sweepMax, "sweep-max", 10000, "highest in-flight level (direct mode)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
 	}
-	if tagpipe {
-		opt.Decoupled = 1
+	if fs.NArg() != 0 {
+		return nil, fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
-	return opt
+	return c, nil
 }
 
 // buildPool compiles the guest program and fills the warm pool.
-func buildPool(size int, tagpipe, selective bool) (*pool.Pool, error) {
-	opt := buildOptions(tagpipe, selective)
+func buildPool(size int, opt shift.Options) (*pool.Pool, error) {
 	prog, err := shift.Build([]shift.Source{{Name: "httpd.mc", Text: workload.HTTPDSource}}, opt)
 	if err != nil {
 		return nil, fmt.Errorf("building guest: %w", err)
@@ -65,60 +86,47 @@ func buildPool(size int, tagpipe, selective bool) (*pool.Pool, error) {
 }
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
-	poolSize := flag.Int("pool", 4, "warm guests in the pool")
-	tagpipe := flag.Bool("tagpipe", true, "check each request with the decoupled tag pipeline (false = inline)")
-	smoke := flag.Bool("smoke", false, "run the smoke check against a live server and exit")
-	sweep := flag.Bool("sweep", false, "run the load harness and exit")
-	sweepRequests := flag.Int("sweep-requests", 2000, "requests per sweep level")
-	sweepMax := flag.Int("sweep-max", 10000, "highest in-flight level (direct mode)")
-	selective := flag.Bool("selective", false, "instrument only statically taint-reachable guest sites")
-	flag.Parse()
-	if flag.NArg() != 0 {
-		fmt.Fprintf(os.Stderr, "shiftd: unexpected argument %q\n", flag.Arg(0))
+	c, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "shiftd:", err)
 		os.Exit(2)
 	}
+	opt := c.opt
 
-	if *smoke {
-		if err := runSmoke(*poolSize, *tagpipe, *selective); err != nil {
+	if c.smoke {
+		if err := runSmoke(c.poolSize, opt); err != nil {
 			fmt.Fprintln(os.Stderr, "shiftd: smoke: FAIL:", err)
 			os.Exit(1)
 		}
 		fmt.Println("shiftd: smoke: PASS")
 		return
 	}
-	if *sweep {
-		if err := runSweep(os.Stdout, *poolSize, *tagpipe, *sweepRequests, *sweepMax, *selective); err != nil {
+	if c.sweep {
+		if err := runSweep(os.Stdout, c.poolSize, opt, c.sweepRequests, c.sweepMax); err != nil {
 			fmt.Fprintln(os.Stderr, "shiftd: sweep:", err)
 			os.Exit(1)
 		}
 		return
 	}
 
-	opt := buildOptions(*tagpipe, *selective)
-	prog, err := shift.Build([]shift.Source{{Name: "httpd.mc", Text: workload.HTTPDSource}}, opt)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "shiftd:", err)
-		os.Exit(1)
-	}
-	p, err := pool.New(prog, *poolSize, opt)
+	p, err := buildPool(c.poolSize, opt)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "shiftd:", err)
 		os.Exit(1)
 	}
 	reg := metrics.NewRegistry()
-	if *selective {
+	if opt.Selective {
 		shift.RegisterSelectiveMetrics(reg, opt.InstrStats)
 	}
 	srv := metrics.NewServer(newServer(p, reg).handler())
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", c.addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "shiftd:", err)
 		os.Exit(1)
 	}
 	fmt.Printf("shiftd: serving on http://%s (pool=%d tagpipe=%v, metrics at /metrics)\n",
-		ln.Addr(), *poolSize, *tagpipe)
+		ln.Addr(), c.poolSize, opt.Decoupled != 0)
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)

@@ -1,10 +1,12 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -15,10 +17,59 @@ import (
 	"shift/internal/workload"
 )
 
+// parseArgs parses a shiftd command line on a private flag set.
+func parseArgs(args ...string) (*config, error) {
+	fs := flag.NewFlagSet("shiftd", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	return parseFlags(fs, args)
+}
+
+// The benchmark's serve workloads start shiftd with nothing but -addr,
+// so its defaults are the served configuration: an instrumented guest
+// under the HTTPD policy, checked by the decoupled tag pipeline, fully
+// instrumented, in a pool of four.
+func TestDefaultConfiguration(t *testing.T) {
+	c, err := parseArgs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := c.opt
+	if !opt.Instrument {
+		t.Error("default guest is not instrumented")
+	}
+	if !reflect.DeepEqual(opt.Policy, workload.HTTPDConfig()) {
+		t.Errorf("default policy = %+v, want workload.HTTPDConfig()", opt.Policy)
+	}
+	if opt.Decoupled != 1 {
+		t.Errorf("Decoupled = %d, want 1 (tag pipeline on)", opt.Decoupled)
+	}
+	if opt.Selective {
+		t.Error("default guest is selectively instrumented")
+	}
+	if c.poolSize != 4 {
+		t.Errorf("pool size = %d, want 4", c.poolSize)
+	}
+	if c.addr != "127.0.0.1:8080" {
+		t.Errorf("addr = %q, want 127.0.0.1:8080", c.addr)
+	}
+
+	// -tagpipe=false is the inline checker; a stray argument is refused.
+	if c, err := parseArgs("-tagpipe=false"); err != nil || c.opt.Decoupled != 0 {
+		t.Errorf("-tagpipe=false: err %v, want Decoupled 0", err)
+	}
+	if _, err := parseArgs("extra"); err == nil {
+		t.Error("stray argument accepted")
+	}
+}
+
 // testServer builds one pooled server per test binary: pool fill means
 // instrumenting the guest once per guest, which dominates test time.
 var testServer = sync.OnceValues(func() (*server, error) {
-	p, err := buildPool(2, true, false)
+	c, err := parseArgs()
+	if err != nil {
+		return nil, err
+	}
+	p, err := buildPool(2, c.opt)
 	if err != nil {
 		return nil, err
 	}
@@ -177,7 +228,11 @@ func TestSelectivePoolEquivalentVerdicts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a second guest pool")
 	}
-	opt := buildOptions(true, true)
+	c, err := parseArgs("-selective")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := c.opt
 	prog, err := shift.Build([]shift.Source{{Name: "httpd.mc", Text: workload.HTTPDSource}}, opt)
 	if err != nil {
 		t.Fatal(err)

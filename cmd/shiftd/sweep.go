@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"shift/internal/metrics"
+	"shift/internal/shift"
 )
 
 // exploitName is the traversal payload the smoke and sweep inject: a
@@ -35,8 +36,8 @@ func httpGet(client *http.Client, url string) (int, []byte, error) {
 // benign content served byte-exact, 404 classification, exploit
 // detected with a forensic bundle (both in the 403 body and at
 // /forensics), metrics exposed, and a clean shutdown.
-func runSmoke(poolSize int, tagpipe, selective bool) error {
-	p, err := buildPool(poolSize, tagpipe, selective)
+func runSmoke(poolSize int, opt shift.Options) error {
+	p, err := buildPool(poolSize, opt)
 	if err != nil {
 		return err
 	}
@@ -239,8 +240,8 @@ func runLevel(s *server, base string, client *http.Client, lv level) (*levelResu
 // need 2×10k descriptors; the direct mode measures the same serve path
 // minus the socket). Every level asserts response integrity and full
 // exploit detection.
-func runSweep(w io.Writer, poolSize int, tagpipe bool, requests, maxInflight int, selective bool) error {
-	p, err := buildPool(poolSize, tagpipe, selective)
+func runSweep(w io.Writer, poolSize int, opt shift.Options, requests, maxInflight int) error {
+	p, err := buildPool(poolSize, opt)
 	if err != nil {
 		return err
 	}
@@ -274,7 +275,7 @@ func runSweep(w io.Writer, poolSize int, tagpipe bool, requests, maxInflight int
 		levels = append(levels, level{inflight: inflight, requests: reqs, viaHTTP: false})
 	}
 
-	fmt.Fprintf(w, "shiftd sweep: pool=%d tagpipe=%v\n", poolSize, tagpipe)
+	fmt.Fprintf(w, "shiftd sweep: pool=%d tagpipe=%v\n", poolSize, opt.Decoupled != 0)
 	fmt.Fprintf(w, "%-9s %9s %9s %12s %12s %10s\n", "mode", "inflight", "requests", "req/s", "p50", "p99")
 	for _, lv := range levels {
 		res, err := runLevel(s, base, client, lv)

@@ -38,7 +38,6 @@ import (
 	"shift/internal/asm"
 	"shift/internal/instrument"
 	"shift/internal/isa"
-	"shift/internal/machine"
 	"shift/internal/policy"
 	"shift/internal/shift"
 	"shift/internal/staticcheck"
@@ -47,18 +46,13 @@ import (
 )
 
 type config struct {
-	jsonOut     bool
-	instr       bool
-	gran        string
-	enhance     bool
-	serialized  bool
-	optimize    bool
-	perFunction bool
-	perUse      bool
-	guards      bool
-	reachOut    bool
-	summary     bool
-	path        string
+	jsonOut  bool
+	reachOut bool
+	summary  bool
+	path     string
+	// opt carries -instrument, -gran and the pass flags; the lint runs
+	// the pass with opt's instrumentation options.
+	opt shift.Options
 }
 
 func parseFlags(args []string, stderr io.Writer) (*config, error) {
@@ -66,14 +60,9 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	fs.SetOutput(stderr)
 	c := &config{}
 	fs.BoolVar(&c.jsonOut, "json", false, "emit findings as a JSON array")
-	fs.BoolVar(&c.instr, "instrument", false, "run the SHIFT pass before linting")
-	fs.StringVar(&c.gran, "gran", "byte", "tracking granularity: byte or word")
-	fs.BoolVar(&c.enhance, "enhancements", false, "enable the proposed enhancement instructions")
-	fs.BoolVar(&c.serialized, "serialized-tags", false, "serialize byte-level bitmap updates")
-	fs.BoolVar(&c.optimize, "optimize", false, "enable the §6.4 compiler optimizations")
-	fs.BoolVar(&c.perFunction, "per-function", false, "regenerate the NaT source per function")
-	fs.BoolVar(&c.perUse, "per-use", false, "regenerate the NaT source per tainting site")
-	fs.BoolVar(&c.guards, "guards", false, "insert user-level violation guards")
+	fs.BoolVar(&c.opt.Instrument, "instrument", false, "run the SHIFT pass before linting")
+	shift.BindFlags(fs, &c.opt, "gran", "enhancements", "serialized-tags", "optimize",
+		"per-function", "per-use", "guards")
 	fs.BoolVar(&c.reachOut, "reach", false, "report taint-reachability facts instead of linting")
 	fs.BoolVar(&c.summary, "summary", false, "append a one-line summary (blocks, edges, findings by invariant)")
 	if err := fs.Parse(args); err != nil {
@@ -104,27 +93,12 @@ func run(c *config, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var gran taint.Granularity
-	switch c.gran {
-	case "byte":
-		gran = taint.Byte
-	case "word":
-		gran = taint.Word
-	default:
-		fmt.Fprintf(stderr, "shiftlint: unknown granularity %q\n", c.gran)
-		return 2
-	}
-
-	if c.instr {
-		opt := instrument.Options{SkipVerify: true, Gran: gran}
-		if c.enhance {
-			opt.Feat = machine.Features{SetClrNaT: true, NaTAwareCmp: true}
-		}
-		opt.SerializedTags = c.serialized
-		opt.Optimize = c.optimize
-		opt.NaTPerFunction = c.perFunction
-		opt.NaTPerUse = c.perUse
-		opt.UserGuards = c.guards
+	gran := c.opt.Granularity
+	if c.opt.Instrument {
+		// The pass' own verification gate is bypassed so this tool, not
+		// the pass, reports contract violations.
+		opt := c.opt.InstrumentOptions()
+		opt.SkipVerify = true
 		prog, err = instrument.Apply(prog, opt)
 		if err != nil {
 			fmt.Fprintln(stderr, "shiftlint:", err)
@@ -233,11 +207,17 @@ func runReach(c *config, prog *isa.Program, gran taint.Granularity, stdout, stde
 	return 0
 }
 
-func main() {
-	c, err := parseFlags(os.Args[1:], os.Stderr)
+// runArgs parses args, lints, and returns the process exit status: a
+// bad flag value is a usage error (2).
+func runArgs(args []string, stdout, stderr io.Writer) int {
+	c, err := parseFlags(args, stderr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "shiftlint:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "shiftlint:", err)
+		return 2
 	}
-	os.Exit(run(c, os.Stdout, os.Stderr))
+	return run(c, stdout, stderr)
+}
+
+func main() {
+	os.Exit(runArgs(os.Args[1:], os.Stdout, os.Stderr))
 }

@@ -34,11 +34,7 @@ func writeTemp(t *testing.T, name, text string) string {
 func lint(t *testing.T, args ...string) (int, string, string) {
 	t.Helper()
 	var out, errb bytes.Buffer
-	c, err := parseFlags(args, &errb)
-	if err != nil {
-		t.Fatalf("parseFlags(%v): %v", args, err)
-	}
-	return run(c, &out, &errb), out.String(), errb.String()
+	return runArgs(args, &out, &errb), out.String(), errb.String()
 }
 
 // The acceptance pair: a hand-written program missing its tag update

@@ -66,11 +66,8 @@ import (
 
 	"shift/internal/instrument"
 	"shift/internal/isa"
-	"shift/internal/machine"
 	"shift/internal/metrics"
-	"shift/internal/policy"
 	"shift/internal/shift"
-	"shift/internal/taint"
 	"shift/internal/trace"
 )
 
@@ -81,25 +78,19 @@ func (l *listFlag) String() string     { return strings.Join(*l, ",") }
 func (l *listFlag) Set(v string) error { *l = append(*l, v); return nil }
 
 func main() {
-	protect := flag.Bool("protect", false, "run under SHIFT taint tracking and policies")
-	selective := flag.Bool("selective", false, "with -protect, instrument only statically taint-reachable sites")
-	gran := flag.String("gran", "byte", "tracking granularity: byte or word")
-	enhance := flag.Bool("enhancements", false, "enable the proposed enhancement instructions")
-	policyFile := flag.String("policy", "", "policy configuration file")
+	var instrStats instrument.Stats
+	opt := shift.Options{InstrStats: &instrStats}
+	flag.BoolVar(&opt.Instrument, "protect", false, "run under SHIFT taint tracking and policies")
+	shift.BindFlags(flag.CommandLine, &opt, "selective", "gran", "enhancements", "policy",
+		"oracle", "tagpipe", "serialized-tags", "unsafe-preempt", "quantum", "engine")
 	netIn := flag.String("net", "", "network input bytes")
 	stdinIn := flag.String("stdin", "", "standard input bytes")
 	counters := flag.Bool("counters", false, "print cycle and instruction counters")
-	profile := flag.Bool("profile", false, "print the per-function execution profile")
-	oracleOn := flag.Bool("oracle", false, "cross-check tag state against a lockstep reference engine")
-	tagpipeOn := flag.Bool("tagpipe", false, "check with the decoupled tag pipeline instead of inline")
-	serialized := flag.Bool("serialized-tags", false, "serialize byte-level bitmap updates with a cmpxchg retry loop")
-	unsafePreempt := flag.Bool("unsafe-preempt", false, "allow preemption between a data store and its tag update (reproduces the paper's §4.4 hazard)")
-	quantum := flag.Uint64("quantum", 0, "scheduler time slice in cycles for threaded guests (0 = default)")
+	flag.BoolVar(&opt.Profile, "profile", false, "print the per-function execution profile")
 	traceOut := flag.String("trace", "", "write the taint-lifecycle trace as JSONL to this file (- for stdout)")
 	traceChrome := flag.String("trace-chrome", "", "write the trace in Chrome trace-event format (Perfetto) to this file")
 	traceDepth := flag.Int("trace-depth", 0, "flight-recorder ring capacity in events (0 = default)")
 	metricsDest := flag.String("metrics", "", "metrics destination: a listen address like :9090 serves Prometheus text over HTTP; otherwise a file the exposition is written to after the run (- for stdout)")
-	engineName := flag.String("engine", "block", "execution engine for unhooked runs: block (cached translated basic blocks) or interp (reference interpreter); checked, traced, metered and profiled runs always interpret")
 	var files, args listFlag
 	flag.Var(&files, "file", "mount name=hostpath into the simulated filesystem (repeatable)")
 	flag.Var(&args, "arg", "program argument (repeatable)")
@@ -109,58 +100,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "shiftrun: exactly one program expected")
 		os.Exit(2)
 	}
-
-	var instrStats instrument.Stats
-	opt := shift.Options{
-		Instrument:     *protect,
-		Selective:      *selective && *protect,
-		InstrStats:     &instrStats,
-		Profile:        *profile,
-		Oracle:         *oracleOn,
-		SerializedTags: *serialized,
-		UnsafePreempt:  *unsafePreempt,
-		Quantum:        *quantum,
-	}
-	if *tagpipeOn {
-		opt.Decoupled = 1
-	}
-	switch *gran {
-	case "byte":
-		opt.Granularity = taint.Byte
-	case "word":
-		opt.Granularity = taint.Word
-	default:
-		fmt.Fprintf(os.Stderr, "shiftrun: unknown granularity %q\n", *gran)
-		os.Exit(2)
-	}
-	engine, ok := machine.EngineFromString(*engineName)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "shiftrun: unknown engine %q (want block or interp)\n", *engineName)
-		os.Exit(2)
-	}
-	opt.Engine = engine
-	if *enhance {
-		opt.Features = machine.Features{SetClrNaT: true, NaTAwareCmp: true}
-	}
-	if *policyFile != "" {
-		text, err := os.ReadFile(*policyFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "shiftrun:", err)
-			os.Exit(1)
-		}
-		conf, err := policy.Parse(string(text))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "shiftrun:", err)
-			os.Exit(1)
-		}
-		// An explicit -gran overrides the policy file's granularity.
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "gran" {
-				conf.Granularity = opt.Granularity
-			}
-		})
-		opt.Policy = conf
-	}
+	// -selective only means something under -protect.
+	opt.Selective = opt.Selective && opt.Instrument
 
 	if *traceOut != "" || *traceChrome != "" {
 		opt.Trace = trace.New(*traceDepth)
@@ -223,7 +164,7 @@ func main() {
 	if res.Trap != nil {
 		fmt.Printf("*** trap: %v\n", res.Trap)
 	}
-	if *profile {
+	if opt.Profile {
 		fmt.Println("--- function profile (instructions retired) ---")
 		for _, h := range res.Machine.FunctionProfile() {
 			fmt.Printf("  %-24s %12d\n", h.Symbol, h.Count)
@@ -233,18 +174,18 @@ func main() {
 			fmt.Printf("  %6d x pc=%-6d %-16s %s\n", h.Count, h.PC, h.Symbol, h.Ins)
 		}
 	}
-	if *oracleOn && res.Oracle != nil {
+	if res.Oracle != nil {
 		st := res.Oracle.Stats
 		fmt.Printf("oracle: %d steps, %d register checks, %d unit checks, %d sweeps\n",
 			st.Steps, st.RegChecks, st.UnitChecks, st.Sweeps)
 	}
-	if *tagpipeOn && res.Pipe != nil {
+	if res.Pipe != nil {
 		s := &res.Pipe.Stats
 		fmt.Printf("tagpipe: %d records in %d segments (%d direct), %d drains, %d sweeps\n",
 			s.Records.Load(), s.Segments.Load(), s.DirectSegs.Load(),
 			s.Drains.Load(), s.Sweeps.Load())
 	}
-	if *selective && *protect {
+	if opt.Selective {
 		fmt.Printf("selective: %d sites, %d instrumented, %d skipped\n",
 			instrStats.Sites, instrStats.Kept, instrStats.Skipped)
 	}

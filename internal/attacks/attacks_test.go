@@ -8,30 +8,44 @@ import (
 	"shift/internal/taint"
 )
 
-// TestTable2 is the paper's security evaluation: every attack detected at
-// both granularities, no false positives, and every exploit succeeds when
-// SHIFT is off.
-func TestTable2(t *testing.T) {
-	results, err := EvaluateAll()
+// evaluate runs one scenario at one granularity under plain SHIFT: the
+// Table 2 protocol of benign, exploit and unprotected runs.
+func evaluate(t *testing.T, s *Scenario, g taint.Granularity) *Outcome {
+	t.Helper()
+	o, err := EvaluateScenario(s, shift.Options{Instrument: true, Granularity: g})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s (%s): %v", s.Name, g, err)
 	}
-	if len(results) != 16 { // 8 attacks x 2 granularities
-		t.Fatalf("got %d results", len(results))
+	return o
+}
+
+// TestTable2 is the paper's security evaluation: every attack detected at
+// both granularities through its declared sink or trap path, no false
+// positives, and every exploit succeeds when SHIFT is off.
+func TestTable2(t *testing.T) {
+	scns := Table2Scenarios()
+	if len(scns) != len(All()) {
+		t.Fatalf("%d Table 2 scenarios for %d attacks", len(scns), len(All()))
 	}
-	for _, r := range results {
-		if r.BenignAlert != "" {
-			t.Errorf("%s (%s): false positive: %s", r.Attack.Program, r.Gran, r.BenignAlert)
+	for i, s := range scns {
+		if s.Attack != All()[i] {
+			t.Errorf("scenario %d is %s, want %s", i, s.Program, All()[i].Program)
 		}
-		if r.ExploitPolicy != r.Attack.Expect {
-			t.Errorf("%s (%s): exploit raised %q, want %q",
-				r.Attack.Program, r.Gran, r.ExploitPolicy, r.Attack.Expect)
-		}
-		if !r.UnprotectedSucceeded {
-			t.Errorf("%s (%s): exploit did not succeed without SHIFT", r.Attack.Program, r.Gran)
-		}
-		if !r.Detected() {
-			t.Errorf("%s (%s): overall verdict false", r.Attack.Program, r.Gran)
+		for _, g := range []taint.Granularity{taint.Byte, taint.Word} {
+			o := evaluate(t, s, g)
+			if o.Benign.Kind != VerdictSilent {
+				t.Errorf("%s (%s): false positive: %s", s.Name, g, o.Benign.Detail)
+			}
+			if o.Exploit.Kind != s.Kind || o.Exploit.Policy != s.Expect {
+				t.Errorf("%s (%s): exploit verdict %s/%s, want %s/%s",
+					s.Name, g, o.Exploit.Kind, o.Exploit.Policy, s.Kind, s.Expect)
+			}
+			if o.Unprotected.Kind != VerdictSilent {
+				t.Errorf("%s (%s): exploit did not succeed without SHIFT: %s", s.Name, g, o.Unprotected.Detail)
+			}
+			if !o.Detected() {
+				t.Errorf("%s (%s): overall verdict false", s.Name, g)
+			}
 		}
 	}
 }
@@ -129,12 +143,8 @@ func TestTableMetadata(t *testing.T) {
 
 func TestWordGranularityStillDetects(t *testing.T) {
 	// Coarse tags may over-approximate but never miss these attacks.
-	r, err := Evaluate(Qwikiwiki, taint.Word)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Detected() {
-		t.Errorf("word-level tracking missed the traversal: %+v", r)
+	if o := evaluate(t, scnOf(t, "qwikiwiki"), taint.Word); !o.Detected() {
+		t.Errorf("word-level tracking missed the traversal: %+v", o)
 	}
 }
 
@@ -142,14 +152,19 @@ func TestWordGranularityStillDetects(t *testing.T) {
 // (currently H4 command injection) under the same three-leg protocol.
 func TestExtensionAttacks(t *testing.T) {
 	for _, a := range Extensions() {
-		for _, g := range []taint.Granularity{taint.Byte, taint.Word} {
-			r, err := Evaluate(a, g)
-			if err != nil {
-				t.Fatalf("%s (%s): %v", a.Program, g, err)
+		var s *Scenario
+		for _, c := range Corpus() {
+			if c.Attack == a {
+				s = c
 			}
-			if !r.Detected() {
-				t.Errorf("%s (%s): benign=%q exploit=%q raw-ok=%v",
-					a.Program, g, r.BenignAlert, r.ExploitPolicy, r.UnprotectedSucceeded)
+		}
+		if s == nil {
+			t.Fatalf("%s: not in the corpus", a.Program)
+		}
+		for _, g := range []taint.Granularity{taint.Byte, taint.Word} {
+			if o := evaluate(t, s, g); !o.Detected() {
+				t.Errorf("%s (%s): benign=%s exploit=%s/%s unprotected=%s",
+					s.Name, g, o.Benign.Kind, o.Exploit.Kind, o.Exploit.Policy, o.Unprotected.Kind)
 			}
 		}
 	}

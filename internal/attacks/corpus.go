@@ -46,7 +46,8 @@ type Scenario struct {
 	// Eval, when non-nil, replaces the standard benign/exploit/baseline
 	// evaluation with a scenario-specific harness (the pool-bleed entry
 	// needs a cross-request lifecycle, not three isolated runs).
-	Eval func(opt EvalOptions) (*Outcome, error)
+	// It receives the options with their policy already resolved.
+	Eval func(opt shift.Options) (*Outcome, error)
 }
 
 // kindOf derives the verdict kind from a policy ID.
@@ -415,11 +416,9 @@ var (
 // scnPoolBleed, and Go rejects the initialization cycle.
 func init() { scnPoolBleed.Eval = runPoolBleed }
 
-// Corpus returns every scenario: the paper's Table 2 rows (channel-
-// annotated), the H4 extension, and the structured additions (format
-// string via argv, heap overwrite, use after free, pool bleed, and the
-// speculative leak).
-func Corpus() []*Scenario {
+// Table2Scenarios returns the paper's Table 2 rows as channel-annotated
+// scenarios, in the paper's order.
+func Table2Scenarios() []*Scenario {
 	return []*Scenario{
 		wrap("gnu-tar", GnuTar, taint.ChanFile),
 		wrap("gnu-gzip", GnuGzip, taint.ChanFile),
@@ -429,11 +428,19 @@ func Corpus() []*Scenario {
 		wrap("php-sysinfo", PhpSysInfo, taint.ChanNetwork),
 		wrap("php-myfaq", PhpMyFAQ, taint.ChanNetwork),
 		wrap("bftpd", Bftpd, taint.ChanNetwork),
+	}
+}
+
+// Corpus returns every scenario: the Table 2 rows, the H4 extension,
+// and the structured additions (format string via argv, heap overwrite,
+// use after free, pool bleed, and the speculative leak).
+func Corpus() []*Scenario {
+	return append(Table2Scenarios(),
 		scnCmdInjection,
 		scnFormatArgv,
 		scnHeapOverflow,
 		scnUseAfterFree,
 		scnPoolBleed,
 		scnSpecLeak,
-	}
+	)
 }

@@ -5,45 +5,17 @@ import (
 	"testing"
 
 	"shift/internal/policy"
+	"shift/internal/shift"
 	"shift/internal/taint"
 )
 
-// corpusConfigs enumerates the checker/instrumentation matrix the
-// corpus must hold under: plain, lockstep oracle, decoupled tag
-// pipeline, and selective instrumentation (with the oracle watching).
-func corpusConfigs(t *testing.T) []EvalOptions {
-	grans := []taint.Granularity{taint.Byte, taint.Word}
+// corpusConfigs is the Matrix the corpus must hold under; -short keeps
+// byte granularity only.
+func corpusConfigs() []shift.Options {
 	if testing.Short() {
-		grans = grans[:1]
+		return Matrix(taint.Byte)
 	}
-	var out []EvalOptions
-	for _, g := range grans {
-		out = append(out,
-			EvalOptions{Gran: g},
-			EvalOptions{Gran: g, Oracle: true},
-			EvalOptions{Gran: g, Decoupled: true},
-			EvalOptions{Gran: g, Selective: true, Oracle: true},
-		)
-	}
-	return out
-}
-
-func optLabel(eo EvalOptions) string {
-	l := "byte"
-	if eo.Gran == taint.Word {
-		l = "word"
-	}
-	switch {
-	case eo.Oracle && eo.Selective:
-		l += "/selective+oracle"
-	case eo.Oracle:
-		l += "/oracle"
-	case eo.Decoupled:
-		l += "/tagpipe"
-	default:
-		l += "/plain"
-	}
-	return l
+	return Matrix(taint.Byte, taint.Word)
 }
 
 // TestCorpusMatrix is the corpus-wide acceptance gate: every scenario,
@@ -52,11 +24,11 @@ func optLabel(eo EvalOptions) string {
 // missed detections and zero benign false positives.
 func TestCorpusMatrix(t *testing.T) {
 	for _, s := range Corpus() {
-		for _, eo := range corpusConfigs(t) {
-			s, eo := s, eo
-			t.Run(s.Name+"/"+optLabel(eo), func(t *testing.T) {
+		for _, opt := range corpusConfigs() {
+			s, opt := s, opt
+			t.Run(s.Name+"/"+Label(opt), func(t *testing.T) {
 				t.Parallel()
-				o, err := EvaluateScenario(s, eo)
+				o, err := EvaluateScenario(s, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -87,7 +59,7 @@ func TestCorpusChannels(t *testing.T) {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
 			t.Parallel()
-			o, err := EvaluateScenario(s, EvalOptions{Gran: taint.Byte})
+			o, err := EvaluateScenario(s, shift.Options{Instrument: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,7 +97,7 @@ func TestChannelKeyedSuppression(t *testing.T) {
 				conf.Channels = map[string]taint.Channel{c.scn.Expect: ch}
 				return conf
 			}
-			o, err := EvaluateScenario(c.scn, EvalOptions{Gran: taint.Byte, Config: key(c.right)})
+			o, err := EvaluateScenario(c.scn, shift.Options{Instrument: true, Policy: key(c.right)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,7 +105,7 @@ func TestChannelKeyedSuppression(t *testing.T) {
 				t.Errorf("keyed to %s: detection lost (exploit=%s/%s)",
 					c.right, o.Exploit.Kind, o.Exploit.Policy)
 			}
-			o, err = EvaluateScenario(c.scn, EvalOptions{Gran: taint.Byte, Config: key(c.wrong)})
+			o, err = EvaluateScenario(c.scn, shift.Options{Instrument: true, Policy: key(c.wrong)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,7 +146,7 @@ func TestVerdictKinds(t *testing.T) {
 			if s.Kind != want {
 				t.Fatalf("scenario kind %s disagrees with policy %s", s.Kind, s.Expect)
 			}
-			o, err := EvaluateScenario(s, EvalOptions{Gran: taint.Byte})
+			o, err := EvaluateScenario(s, shift.Options{Instrument: true})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,96 +5,12 @@ import (
 
 	"shift/internal/isa"
 	"shift/internal/loader"
-	"shift/internal/policy"
 	"shift/internal/pool"
 	"shift/internal/shift"
 	"shift/internal/taint"
 )
 
-// Result is the outcome of one attack evaluation at one granularity.
-type Result struct {
-	Attack *Attack
-	Gran   taint.Granularity
-
-	// BenignAlert is any alert raised on benign input (a false
-	// positive; must be empty).
-	BenignAlert string
-	// ExploitPolicy is the policy that fired on the exploit ("" = missed).
-	ExploitPolicy string
-	// UnprotectedSucceeded reports that without SHIFT the exploit ran
-	// to completion with no alert (the attack works).
-	UnprotectedSucceeded bool
-}
-
-// Detected reports a correct detection with no false positive.
-func (r *Result) Detected() bool {
-	return r.BenignAlert == "" && r.ExploitPolicy == r.Attack.Expect && r.UnprotectedSucceeded
-}
-
-// Evaluate runs one attack at one granularity: benign input under SHIFT
-// (expect silence), exploit input under SHIFT (expect the attack's policy),
-// and exploit input without SHIFT (expect silent success).
-func Evaluate(a *Attack, gran taint.Granularity) (*Result, error) {
-	conf := a.Config()
-	conf.Granularity = gran
-	opt := shift.Options{Instrument: true, Policy: conf}
-
-	prog, err := shift.Build([]shift.Source{{Name: a.Program, Text: a.Source}}, opt)
-	if err != nil {
-		return nil, fmt.Errorf("%s: build: %w", a.Program, err)
-	}
-	baseProg, err := shift.Build([]shift.Source{{Name: a.Program, Text: a.Source}}, shift.Options{})
-	if err != nil {
-		return nil, fmt.Errorf("%s: baseline build: %w", a.Program, err)
-	}
-
-	res := &Result{Attack: a, Gran: gran}
-
-	benign, err := shift.Run(prog, a.Benign(), opt)
-	if err != nil {
-		return nil, fmt.Errorf("%s: benign run: %w", a.Program, err)
-	}
-	if benign.Trap != nil {
-		return nil, fmt.Errorf("%s: benign run trapped: %v", a.Program, benign.Trap)
-	}
-	if benign.Alert != nil {
-		res.BenignAlert = benign.Alert.String()
-	}
-
-	exploit, err := shift.Run(prog, a.Exploit(), opt)
-	if err != nil {
-		return nil, fmt.Errorf("%s: exploit run: %w", a.Program, err)
-	}
-	if exploit.Alert != nil {
-		res.ExploitPolicy = exploit.Alert.Violation.Policy
-	}
-
-	raw, err := shift.Run(baseProg, a.Exploit(), shift.Options{})
-	if err != nil {
-		return nil, fmt.Errorf("%s: unprotected run: %w", a.Program, err)
-	}
-	res.UnprotectedSucceeded = raw.Trap == nil && raw.Alert == nil
-
-	return res, nil
-}
-
-// EvaluateAll runs the full Table 2 at both granularities.
-func EvaluateAll() ([]*Result, error) {
-	var out []*Result
-	for _, a := range All() {
-		for _, g := range []taint.Granularity{taint.Byte, taint.Word} {
-			r, err := Evaluate(a, g)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, r)
-		}
-	}
-	return out, nil
-}
-
-// ---------------------------------------------------------------------
-// Corpus evaluation (v2): typed verdicts that keep the two detection
+// Corpus evaluation: typed verdicts that keep the two detection
 // paths — H-policy sink alerts and L-policy NaT-consumption traps —
 // distinguishable, so a scenario cannot "pass" by tripping the wrong
 // machinery, and benign runs that fault are reported instead of
@@ -140,42 +56,58 @@ func Classify(res *shift.Result) Verdict {
 	}
 }
 
-// EvalOptions selects the execution configuration of a corpus
-// evaluation: granularity, which checker runs alongside (lockstep
-// oracle and/or decoupled tag pipeline), selective instrumentation, and
-// an optional policy-configuration override for channel-keyed runs.
-type EvalOptions struct {
-	Gran      taint.Granularity
-	Oracle    bool
-	Decoupled bool
-	Selective bool
-	// Config overrides the scenario's default policy configuration
-	// (cloned before use; Gran is applied on top). nil = DefaultConfig.
-	Config *policy.Config
+// Matrix is the checker/instrumentation matrix the corpus must hold
+// under, at each of grans: plain, lockstep oracle, decoupled tag
+// pipeline, and selective instrumentation with the oracle watching.
+func Matrix(grans ...taint.Granularity) []shift.Options {
+	var out []shift.Options
+	for _, g := range grans {
+		plain := shift.Options{Instrument: true, Granularity: g}
+		oracle, piped, selective := plain, plain, plain
+		oracle.Oracle = true
+		piped.Decoupled = 1
+		selective.Selective, selective.Oracle = true, true
+		out = append(out, plain, oracle, piped, selective)
+	}
+	return out
 }
 
-// shiftOptions renders the evaluation options for one scenario run.
-func (eo EvalOptions) shiftOptions() shift.Options {
-	conf := eo.Config
-	if conf == nil {
-		conf = policy.DefaultConfig()
+// Label names a Matrix configuration: granularity/checker, for example
+// "byte/plain" or "word/selective+oracle".
+func Label(opt shift.Options) string {
+	_, gran := opt.ResolvePolicy()
+	l := gran.String()
+	switch {
+	case opt.Oracle && opt.Selective:
+		l += "/selective+oracle"
+	case opt.Oracle:
+		l += "/oracle"
+	case opt.Decoupled != 0:
+		l += "/tagpipe"
+	default:
+		l += "/plain"
 	}
+	return l
+}
+
+// resolve pins opt's policy to a private copy of the one in force
+// (Options.ResolvePolicy), so an evaluation never shares or mutates its
+// caller's configuration.
+func resolve(opt shift.Options) shift.Options {
+	conf, gran := opt.ResolvePolicy()
 	conf = conf.Clone()
-	conf.Granularity = eo.Gran
-	opt := shift.Options{Instrument: true, Policy: conf, Oracle: eo.Oracle, Selective: eo.Selective}
-	if eo.Decoupled {
-		opt.Decoupled = 1
-	}
+	conf.Granularity = gran
+	opt.Policy = conf
 	return opt
 }
 
 // Outcome is a scenario's full evaluation at one configuration.
 type Outcome struct {
 	Scenario    *Scenario
-	Opt         EvalOptions
-	Benign      Verdict // must be silent
-	Exploit     Verdict // must match the scenario's Kind and Expect
-	Unprotected Verdict // must be silent (the attack works without SHIFT)
+	Opt         shift.Options // the protected runs' options, policy resolved
+	Benign      Verdict       // must be silent
+	Exploit     Verdict       // must match the scenario's Kind and Expect
+	Unprotected Verdict       // must be silent (the attack works without SHIFT)
 }
 
 // Detected reports a correct detection: the exploit tripped the expected
@@ -197,14 +129,14 @@ func buildScenario(s *Scenario, opt shift.Options) (*isa.Program, error) {
 	return shift.Build([]shift.Source{{Name: s.Program, Text: s.Source}}, opt)
 }
 
-// EvaluateScenario runs one corpus scenario at one configuration:
-// benign and exploit under SHIFT, exploit without SHIFT. Scenarios with
-// a custom harness (pool bleed) evaluate through it instead.
-func EvaluateScenario(s *Scenario, eo EvalOptions) (*Outcome, error) {
+// EvaluateScenario runs one corpus scenario: benign and exploit under
+// opt (normally instrumented), exploit without SHIFT. Scenarios with a
+// custom harness (pool bleed) evaluate through it instead.
+func EvaluateScenario(s *Scenario, opt shift.Options) (*Outcome, error) {
+	opt = resolve(opt)
 	if s.Eval != nil {
-		return s.Eval(eo)
+		return s.Eval(opt)
 	}
-	opt := eo.shiftOptions()
 	prog, err := buildScenario(s, opt)
 	if err != nil {
 		return nil, fmt.Errorf("%s: build: %w", s.Program, err)
@@ -214,7 +146,7 @@ func EvaluateScenario(s *Scenario, eo EvalOptions) (*Outcome, error) {
 		return nil, fmt.Errorf("%s: baseline build: %w", s.Program, err)
 	}
 
-	out := &Outcome{Scenario: s, Opt: eo}
+	out := &Outcome{Scenario: s, Opt: opt}
 	benign, err := shift.Run(prog, s.Benign(), opt)
 	if err != nil {
 		return nil, fmt.Errorf("%s: benign run: %w", s.Program, err)
@@ -236,10 +168,10 @@ func EvaluateScenario(s *Scenario, eo EvalOptions) (*Outcome, error) {
 }
 
 // EvaluateCorpus runs every corpus scenario at one configuration.
-func EvaluateCorpus(eo EvalOptions) ([]*Outcome, error) {
+func EvaluateCorpus(opt shift.Options) ([]*Outcome, error) {
 	var out []*Outcome
 	for _, s := range Corpus() {
-		o, err := EvaluateScenario(s, eo)
+		o, err := EvaluateScenario(s, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -260,14 +192,13 @@ func EvaluateCorpus(eo EvalOptions) ([]*Outcome, error) {
 // bits with no shadow provenance), which is precisely the defect the
 // scenario documents — the checkers would stop the run before the
 // victim's sink is reached.
-func runPoolBleed(eo EvalOptions) (*Outcome, error) {
+func runPoolBleed(opt shift.Options) (*Outcome, error) {
 	s := scnPoolBleed
-	opt := eo.shiftOptions()
 	prog, err := buildScenario(s, opt)
 	if err != nil {
 		return nil, fmt.Errorf("%s: build: %w", s.Program, err)
 	}
-	out := &Outcome{Scenario: s, Opt: eo}
+	out := &Outcome{Scenario: s, Opt: opt}
 
 	// Benign arm: attacker then victim through the pool (tag clear on
 	// recycle). The victim must stay silent.
@@ -321,7 +252,8 @@ func runNaiveRecycle(prog *isa.Program, opt shift.Options, first, second *shift.
 	regs := mach.SnapshotRegs()
 	var tags *taint.Space
 	if opt.Instrument {
-		tags = taint.NewSpace(img.Mem, opt.Policy.Granularity)
+		_, gran := opt.ResolvePolicy()
+		tags = taint.NewSpace(img.Mem, gran)
 	}
 	runOn := func(w *shift.World) (*shift.Result, error) {
 		w.HeapBase, w.StackTop = img.HeapBase, img.StackTop

@@ -15,25 +15,23 @@ import (
 	"shift/internal/workload"
 )
 
-// Engine selects the execution engine for every benchmark run in this
-// package (cmd/shiftbench's -engine flag sets it). The default is the
-// translated-block engine; the results are engine-independent — the
-// engines are bit-identical in every architectural observable — so the
-// knob exists for performance comparison and differential testing.
-var Engine machine.Engine
-
-// Tagpipe runs instrumented benchmark runs under the decoupled tag
-// pipeline (cmd/shiftbench's -tagpipe flag). False — the default — keeps
-// checking inline; true records each retirement into a batch that is
-// applied when full and checked at sinks, which changes throughput but
-// not verdicts (see DESIGN.md "Decoupled tag pipeline").
-var Tagpipe bool
-
-// Selective makes every instrumented benchmark run use selective
-// instrumentation (cmd/shiftbench's -selective flag): the whole-program
-// taint-reachability analysis keeps only sites that may touch taint.
-// Verdict-equivalent to full instrumentation; changes cycle counts only.
-var Selective bool
+// Harness is the experiment harness' run configuration. It is passed
+// explicitly (cmd/shiftbench builds one from its flags); the zero value
+// is the default: block engine, inline checking, full instrumentation,
+// one worker per CPU.
+type Harness struct {
+	// Base holds the execution settings every measured benchmark run
+	// (RunBenchmark, and so Figures 7–9 and the ablations) starts from:
+	// Engine applies to every run, Decoupled and Selective to the
+	// instrumented ones. Results are engine- and checker-independent
+	// (the engines are bit-identical, the tag pipeline changes
+	// throughput, not verdicts); Selective changes cycle counts only.
+	Base shift.Options
+	// Workers caps the experiment cells run concurrently: 0 means
+	// runtime.NumCPU(), 1 forces serial execution. The results are
+	// identical at any setting.
+	Workers int
+}
 
 // Config is one measurement configuration of the SHIFT system.
 type Config struct {
@@ -66,8 +64,9 @@ var (
 	WordOpt     = Config{Key: "word-optimized", Gran: taint.Word, Optimize: true}
 )
 
-// options converts a configuration into run options for a benchmark.
-func (c Config) options(b *workload.Benchmark) shift.Options {
+// options converts a configuration into run options for a benchmark,
+// on top of base's engine and checker settings.
+func (c Config) options(b *workload.Benchmark, base shift.Options) shift.Options {
 	conf := b.Config()
 	conf.Granularity = c.Gran
 	if c.Safe {
@@ -80,6 +79,9 @@ func (c Config) options(b *workload.Benchmark) shift.Options {
 		NaTPerFunction: c.NaTPerFunction,
 		NaTPerUse:      c.NaTPerUse,
 		Optimize:       c.Optimize,
+		Engine:         base.Engine,
+		Decoupled:      base.Decoupled,
+		Selective:      base.Selective,
 	}
 }
 
@@ -93,17 +95,10 @@ type Measurement struct {
 
 // RunBenchmark executes b at the given scale under cfg (or the baseline
 // when cfg is nil) and verifies the run was clean.
-func RunBenchmark(b *workload.Benchmark, scale int, cfg *Config) (*Measurement, error) {
-	var opt shift.Options
+func (h Harness) RunBenchmark(b *workload.Benchmark, scale int, cfg *Config) (*Measurement, error) {
+	opt := shift.Options{Engine: h.Base.Engine}
 	if cfg != nil {
-		opt = cfg.options(b)
-	}
-	opt.Engine = Engine
-	if opt.Instrument {
-		if Tagpipe {
-			opt.Decoupled = 1
-		}
-		opt.Selective = Selective
+		opt = cfg.options(b, h.Base)
 	}
 	res, err := shift.BuildAndRun(
 		[]shift.Source{{Name: b.Name + ".mc", Text: b.Source}}, b.World(scale), opt)

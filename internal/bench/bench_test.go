@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"shift/internal/attacks"
 )
 
 // The bench tests run the experiments at a small scale and assert the
@@ -12,7 +14,7 @@ import (
 const testScaleDiv = 16
 
 func TestFig7Orderings(t *testing.T) {
-	rows, err := Fig7(testScaleDiv)
+	rows, err := Harness{}.Fig7(testScaleDiv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +46,7 @@ func TestFig7Orderings(t *testing.T) {
 }
 
 func TestFig8EnhancementsReduce(t *testing.T) {
-	rows, err := Fig8(testScaleDiv)
+	rows, err := Harness{}.Fig8(testScaleDiv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +68,7 @@ func TestFig8EnhancementsReduce(t *testing.T) {
 }
 
 func TestFig9ComputationDominates(t *testing.T) {
-	rows, err := Fig9(testScaleDiv)
+	rows, err := Harness{}.Fig9(testScaleDiv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +99,7 @@ func TestFig9ComputationDominates(t *testing.T) {
 }
 
 func TestFig6OverheadSmallAndShrinking(t *testing.T) {
-	rows, err := Fig6(20, []int{4 * 1024, 64 * 1024})
+	rows, err := Harness{}.Fig6(20, []int{4 * 1024, 64 * 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,13 +119,16 @@ func TestFig6OverheadSmallAndShrinking(t *testing.T) {
 }
 
 func TestTable2AllDetected(t *testing.T) {
-	results, err := Table2()
+	results, err := Harness{}.Table2()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range results {
-		if !r.Detected() {
-			t.Errorf("%s at %s not detected", r.Attack.Program, r.Gran)
+	if len(results) != 16 { // 8 attacks x 2 granularities
+		t.Fatalf("got %d results, want 16", len(results))
+	}
+	for _, o := range results {
+		if !o.Detected() {
+			t.Errorf("%s at %s not detected", o.Scenario.Name, attacks.Label(o.Opt))
 		}
 	}
 	var buf bytes.Buffer
@@ -134,7 +139,7 @@ func TestTable2AllDetected(t *testing.T) {
 }
 
 func TestTable3Expansion(t *testing.T) {
-	rows, err := Table3()
+	rows, err := Harness{}.Table3()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +159,7 @@ func TestTable3Expansion(t *testing.T) {
 }
 
 func TestAblationOrdering(t *testing.T) {
-	rows, err := Ablation(testScaleDiv)
+	rows, err := Harness{}.Ablation(testScaleDiv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +172,7 @@ func TestAblationOrdering(t *testing.T) {
 
 func TestPrintAllUnknownExperiment(t *testing.T) {
 	var buf bytes.Buffer
-	if err := PrintAll(&buf, "fig99", 16, 5); err == nil {
+	if err := (Harness{}).PrintAll(&buf, "fig99", 16, 5); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }
@@ -186,7 +191,7 @@ func TestPrintTable1(t *testing.T) {
 // are robust to the cost model: every skewed variant preserves
 // byte >= word > enhanced > 1.
 func TestSensitivityOrderingsHold(t *testing.T) {
-	rows, err := Sensitivity(testScaleDiv, []string{"gzip", "mcf"})
+	rows, err := Harness{}.Sensitivity(testScaleDiv, []string{"gzip", "mcf"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +213,7 @@ func TestSensitivityOrderingsHold(t *testing.T) {
 
 // TestThreadsExperiment smoke-tests the multi-threaded measurement.
 func TestThreadsExperiment(t *testing.T) {
-	rows, err := Threads(1024, []int{1, 4})
+	rows, err := Harness{}.Threads(1024, []int{1, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +231,7 @@ func TestThreadsExperiment(t *testing.T) {
 
 // TestOptimizationExperiment: the §6.4 optimizations help every benchmark.
 func TestOptimizationExperiment(t *testing.T) {
-	rows, err := Optimization(testScaleDiv)
+	rows, err := Harness{}.Optimization(testScaleDiv)
 	if err != nil {
 		t.Fatal(err)
 	}

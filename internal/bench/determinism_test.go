@@ -65,7 +65,7 @@ func goldenPath(t *testing.T) string {
 
 func measureGolden(t *testing.T) goldenFile {
 	t.Helper()
-	rows, err := RunSpec(goldenScaleDiv, goldenConfigs())
+	rows, err := Harness{}.RunSpec(goldenScaleDiv, goldenConfigs())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,11 +33,11 @@ type Fig6Row struct {
 // Fig6 runs the httpd workload at each file size with the given request
 // count, at byte and word granularity. Cells (one file size under one
 // configuration, plus its baseline) run on the worker pool.
-func Fig6(requests int, fileSizes []int) ([]Fig6Row, error) {
+func (h Harness) Fig6(requests int, fileSizes []int) ([]Fig6Row, error) {
 	configs := []Config{ByteUnsafe, WordUnsafe}
 	stride := 1 + len(configs)
 	cells := make([]*shift.Result, len(fileSizes)*stride)
-	err := parallelFor(len(cells), func(i int) error {
+	err := h.parallelFor(len(cells), func(i int) error {
 		size := fileSizes[i/stride]
 		var opt shift.Options
 		if j := i % stride; j != 0 {
@@ -124,11 +124,11 @@ type SpecRow struct {
 // given configurations, verifying output equivalence against baseline.
 // Cells (one benchmark under one configuration, plus its baseline) run
 // on the worker pool; rows are assembled in benchmark order afterwards.
-func RunSpec(scaleDiv int, configs []Config) ([]SpecRow, error) {
+func (h Harness) RunSpec(scaleDiv int, configs []Config) ([]SpecRow, error) {
 	benches := workload.All()
 	stride := 1 + len(configs) // baseline + one cell per config
 	cells := make([]*Measurement, len(benches)*stride)
-	err := parallelFor(len(cells), func(i int) error {
+	err := h.parallelFor(len(cells), func(i int) error {
 		b := benches[i/stride]
 		scale := b.RefScale / scaleDiv
 		if scale < 64 {
@@ -136,10 +136,10 @@ func RunSpec(scaleDiv int, configs []Config) ([]SpecRow, error) {
 		}
 		var err error
 		if j := i % stride; j == 0 {
-			cells[i], err = RunBenchmark(b, scale, nil)
+			cells[i], err = h.RunBenchmark(b, scale, nil)
 		} else {
 			cfg := configs[j-1]
-			cells[i], err = RunBenchmark(b, scale, &cfg)
+			cells[i], err = h.RunBenchmark(b, scale, &cfg)
 			if err != nil {
 				err = fmt.Errorf("%s under %s: %w", b.Name, cfg.Key, err)
 			}
@@ -182,8 +182,8 @@ func Geomean(rows []SpecRow, key string) float64 {
 }
 
 // Fig7 runs the Figure 7 configurations (byte/word x unsafe/safe).
-func Fig7(scaleDiv int) ([]SpecRow, error) {
-	return RunSpec(scaleDiv, []Config{ByteUnsafe, ByteSafe, WordUnsafe, WordSafe})
+func (h Harness) Fig7(scaleDiv int) ([]SpecRow, error) {
+	return h.RunSpec(scaleDiv, []Config{ByteUnsafe, ByteSafe, WordUnsafe, WordSafe})
 }
 
 // PrintFig7 renders the per-benchmark slowdown bars.
@@ -214,8 +214,8 @@ func PrintFig7(w io.Writer, rows []SpecRow) {
 // Figure 8: architectural enhancements.
 
 // Fig8 measures the enhancement configurations.
-func Fig8(scaleDiv int) ([]SpecRow, error) {
-	return RunSpec(scaleDiv, []Config{
+func (h Harness) Fig8(scaleDiv int) ([]SpecRow, error) {
+	return h.RunSpec(scaleDiv, []Config{
 		ByteUnsafe, ByteSetClr, ByteBoth,
 		WordUnsafe, WordSetClr, WordBoth,
 	})
@@ -272,8 +272,8 @@ type Fig9Row struct {
 }
 
 // Fig9 derives the breakdown from fresh byte/word runs.
-func Fig9(scaleDiv int) ([]Fig9Row, error) {
-	rows, err := RunSpec(scaleDiv, []Config{ByteUnsafe, WordUnsafe})
+func (h Harness) Fig9(scaleDiv int) ([]Fig9Row, error) {
+	rows, err := h.RunSpec(scaleDiv, []Config{ByteUnsafe, WordUnsafe})
 	if err != nil {
 		return nil, err
 	}
@@ -329,15 +329,17 @@ func PrintTable1(w io.Writer) {
 // ---------------------------------------------------------------------------
 // Table 2: security evaluation.
 
-// Table2 runs the attack suite, one (attack, granularity) cell per
-// worker, in the same order attacks.EvaluateAll produces.
-func Table2() ([]*attacks.Result, error) {
-	all := attacks.All()
+// Table2 evaluates the corpus' Table-2 scenarios under plain SHIFT at
+// byte and word granularity, one (scenario, granularity) cell per
+// worker, in the paper's row order with byte before word.
+func (h Harness) Table2() ([]*attacks.Outcome, error) {
+	scns := attacks.Table2Scenarios()
 	grans := []taint.Granularity{taint.Byte, taint.Word}
-	results := make([]*attacks.Result, len(all)*len(grans))
-	err := parallelFor(len(results), func(i int) error {
+	results := make([]*attacks.Outcome, len(scns)*len(grans))
+	err := h.parallelFor(len(results), func(i int) error {
 		var err error
-		results[i], err = attacks.Evaluate(all[i/len(grans)], grans[i%len(grans)])
+		results[i], err = attacks.EvaluateScenario(scns[i/len(grans)],
+			shift.Options{Instrument: true, Granularity: grans[i%len(grans)]})
 		return err
 	})
 	if err != nil {
@@ -347,19 +349,20 @@ func Table2() ([]*attacks.Result, error) {
 }
 
 // PrintTable2 renders the detection matrix.
-func PrintTable2(w io.Writer, results []*attacks.Result) {
+func PrintTable2(w io.Writer, results []*attacks.Outcome) {
 	fmt.Fprintln(w, "Table 2: security evaluation (each attack at byte and word level)")
 	fmt.Fprintf(w, "%-14s %-26s %-8s %-24s %-28s %-5s %s\n",
 		"CVE#", "Program", "Lang", "Attack Type", "Policies", "Gran", "Detected?")
-	for _, r := range results {
+	for _, o := range results {
 		verdict := "Yes"
-		if !r.Detected() {
-			verdict = fmt.Sprintf("NO (benign=%q exploit=%q raw-ok=%v)",
-				r.BenignAlert, r.ExploitPolicy, r.UnprotectedSucceeded)
+		if !o.Detected() {
+			verdict = fmt.Sprintf("NO (benign=%s exploit=%s/%s unprotected=%s)",
+				o.Benign.Kind, o.Exploit.Kind, o.Exploit.Policy, o.Unprotected.Kind)
 		}
+		_, gran := o.Opt.ResolvePolicy()
+		a := o.Scenario.Attack
 		fmt.Fprintf(w, "%-14s %-26s %-8s %-24s %-28s %-5s %s\n",
-			r.Attack.CVE, r.Attack.Program, r.Attack.Language, r.Attack.Type,
-			r.Attack.Policies, r.Gran, verdict)
+			a.CVE, a.Program, a.Language, a.Type, a.Policies, gran, verdict)
 	}
 }
 
@@ -382,7 +385,7 @@ func (r Table3Row) BytePct() float64 { return (float64(r.Byte)/float64(r.Origina
 
 // Table3 measures static instruction counts for the runtime library (the
 // glibc analogue) and each benchmark.
-func Table3() ([]Table3Row, error) {
+func (h Harness) Table3() ([]Table3Row, error) {
 	count := func(srcs []shift.Source, opt shift.Options) (int, error) {
 		p, err := shift.Build(srcs, opt)
 		if err != nil {
@@ -417,7 +420,7 @@ func Table3() ([]Table3Row, error) {
 	// that references nothing so the counts are dominated by the library.
 	benches := workload.All()
 	rows := make([]Table3Row, 1+len(benches))
-	err := parallelFor(len(rows), func(i int) error {
+	err := h.parallelFor(len(rows), func(i int) error {
 		var err error
 		if i == 0 {
 			rows[0], err = measure("rtlib",
@@ -453,8 +456,8 @@ func PrintTable3(w io.Writer, rows []Table3Row) {
 // Ablation compares keeping the NaT source live against regenerating it
 // at every function entry and at every use (paper §4.4: the per-function
 // strategy cost ~3X against keeping the token during development).
-func Ablation(scaleDiv int) ([]SpecRow, error) {
-	return RunSpec(scaleDiv, []Config{ByteUnsafe, BytePerFunc, BytePerUse})
+func (h Harness) Ablation(scaleDiv int) ([]SpecRow, error) {
+	return h.RunSpec(scaleDiv, []Config{ByteUnsafe, BytePerFunc, BytePerUse})
 }
 
 // PrintAblation renders the comparison.
@@ -472,8 +475,8 @@ func PrintAblation(w io.Writer, rows []SpecRow) {
 
 // Optimization measures the §4.4/§6.4 future-work compiler optimizations
 // (kept mask register + tag-address reuse) against the stock pass.
-func Optimization(scaleDiv int) ([]SpecRow, error) {
-	return RunSpec(scaleDiv, []Config{ByteUnsafe, ByteOpt, WordUnsafe, WordOpt})
+func (h Harness) Optimization(scaleDiv int) ([]SpecRow, error) {
+	return h.RunSpec(scaleDiv, []Config{ByteUnsafe, ByteOpt, WordUnsafe, WordOpt})
 }
 
 // PrintOptimization renders the comparison.
@@ -501,11 +504,11 @@ type ThreadRow struct {
 // Threads measures instrumented overhead for the multi-threaded workload
 // (the paper's §4.4 future work) across worker counts. Cells (one worker
 // count under one configuration, plus its baseline) run on the pool.
-func Threads(scale int, workerCounts []int) ([]ThreadRow, error) {
+func (h Harness) Threads(scale int, workerCounts []int) ([]ThreadRow, error) {
 	configs := []Config{ByteUnsafe, WordUnsafe}
 	stride := 1 + len(configs)
 	cells := make([]*shift.Result, len(workerCounts)*stride)
-	err := parallelFor(len(cells), func(i int) error {
+	err := h.parallelFor(len(cells), func(i int) error {
 		k := workerCounts[i/stride]
 		var opt shift.Options
 		if j := i % stride; j != 0 {
@@ -562,7 +565,7 @@ func Names() []string {
 // PrintAll runs and prints the named experiment ("all" runs everything).
 // scaleDiv divides the reference input scale (1 = full, larger = faster);
 // httpdRequests sizes the Figure 6 run.
-func PrintAll(w io.Writer, name string, scaleDiv, httpdRequests int) error {
+func (h Harness) PrintAll(w io.Writer, name string, scaleDiv, httpdRequests int) error {
 	want := func(n string) bool { return name == "all" || name == n }
 	if !want("") && name != "all" {
 		found := false
@@ -580,7 +583,7 @@ func PrintAll(w io.Writer, name string, scaleDiv, httpdRequests int) error {
 		fmt.Fprintln(w)
 	}
 	if want("table2") {
-		res, err := Table2()
+		res, err := h.Table2()
 		if err != nil {
 			return err
 		}
@@ -589,7 +592,7 @@ func PrintAll(w io.Writer, name string, scaleDiv, httpdRequests int) error {
 	}
 	if want("fig6") {
 		sizes := []int{4 * 1024, 8 * 1024, 16 * 1024, 512 * 1024}
-		rows, err := Fig6(httpdRequests, sizes)
+		rows, err := h.Fig6(httpdRequests, sizes)
 		if err != nil {
 			return err
 		}
@@ -597,7 +600,7 @@ func PrintAll(w io.Writer, name string, scaleDiv, httpdRequests int) error {
 		fmt.Fprintln(w)
 	}
 	if want("fig7") {
-		rows, err := Fig7(scaleDiv)
+		rows, err := h.Fig7(scaleDiv)
 		if err != nil {
 			return err
 		}
@@ -605,7 +608,7 @@ func PrintAll(w io.Writer, name string, scaleDiv, httpdRequests int) error {
 		fmt.Fprintln(w)
 	}
 	if want("fig8") {
-		rows, err := Fig8(scaleDiv)
+		rows, err := h.Fig8(scaleDiv)
 		if err != nil {
 			return err
 		}
@@ -613,7 +616,7 @@ func PrintAll(w io.Writer, name string, scaleDiv, httpdRequests int) error {
 		fmt.Fprintln(w)
 	}
 	if want("fig9") {
-		rows, err := Fig9(scaleDiv)
+		rows, err := h.Fig9(scaleDiv)
 		if err != nil {
 			return err
 		}
@@ -621,7 +624,7 @@ func PrintAll(w io.Writer, name string, scaleDiv, httpdRequests int) error {
 		fmt.Fprintln(w)
 	}
 	if want("table3") {
-		rows, err := Table3()
+		rows, err := h.Table3()
 		if err != nil {
 			return err
 		}
@@ -629,7 +632,7 @@ func PrintAll(w io.Writer, name string, scaleDiv, httpdRequests int) error {
 		fmt.Fprintln(w)
 	}
 	if want("ablation") {
-		rows, err := Ablation(scaleDiv)
+		rows, err := h.Ablation(scaleDiv)
 		if err != nil {
 			return err
 		}
@@ -637,7 +640,7 @@ func PrintAll(w io.Writer, name string, scaleDiv, httpdRequests int) error {
 		fmt.Fprintln(w)
 	}
 	if want("opt") {
-		rows, err := Optimization(scaleDiv)
+		rows, err := h.Optimization(scaleDiv)
 		if err != nil {
 			return err
 		}
@@ -645,7 +648,7 @@ func PrintAll(w io.Writer, name string, scaleDiv, httpdRequests int) error {
 		fmt.Fprintln(w)
 	}
 	if want("threads") {
-		rows, err := Threads(8192/scaleDiv, []int{1, 2, 4, 8})
+		rows, err := h.Threads(8192/scaleDiv, []int{1, 2, 4, 8})
 		if err != nil {
 			return err
 		}
@@ -653,7 +656,7 @@ func PrintAll(w io.Writer, name string, scaleDiv, httpdRequests int) error {
 		fmt.Fprintln(w)
 	}
 	if want("sensitivity") {
-		rows, err := Sensitivity(scaleDiv*4, []string{"gzip", "gcc", "mcf"})
+		rows, err := h.Sensitivity(scaleDiv*4, []string{"gzip", "gcc", "mcf"})
 		if err != nil {
 			return err
 		}

@@ -14,13 +14,9 @@ import (
 // tables, geomeans and divergence checks are byte-identical to a serial
 // run (the determinism golden test pins this).
 
-// Workers caps the number of experiment cells run concurrently.
-// 0 (the default) means runtime.NumCPU(); 1 forces serial execution.
-var Workers = 0
-
 // workers resolves the effective pool size for n cells.
-func workers(n int) int {
-	w := Workers
+func (h Harness) workers(n int) int {
+	w := h.Workers
 	if w <= 0 {
 		w = runtime.NumCPU()
 	}
@@ -36,12 +32,12 @@ func workers(n int) int {
 // parallelFor runs fn(0..n-1) on a bounded pool and waits for all of
 // them. Every index runs even if another fails; the lowest-index error
 // is returned so the winning error does not depend on scheduling.
-func parallelFor(n int, fn func(i int) error) error {
+func (h Harness) parallelFor(n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
 	errs := make([]error, n)
-	if w := workers(n); w > 1 {
+	if w := h.workers(n); w > 1 {
 		var next atomic.Int64
 		var wg sync.WaitGroup
 		wg.Add(w)

@@ -11,10 +11,7 @@ import (
 func TestParallelMatchesSerial(t *testing.T) {
 	withWorkers := func(w int) []SpecRow {
 		t.Helper()
-		old := Workers
-		Workers = w
-		defer func() { Workers = old }()
-		rows, err := RunSpec(goldenScaleDiv, []Config{ByteUnsafe, WordUnsafe})
+		rows, err := Harness{Workers: w}.RunSpec(goldenScaleDiv, []Config{ByteUnsafe, WordUnsafe})
 		if err != nil {
 			t.Fatalf("Workers=%d: %v", w, err)
 		}
@@ -30,15 +27,12 @@ func TestParallelMatchesSerial(t *testing.T) {
 
 func TestParallelForLowestIndexError(t *testing.T) {
 	for _, w := range []int{1, 4} {
-		old := Workers
-		Workers = w
-		err := parallelFor(16, func(i int) error {
+		err := Harness{Workers: w}.parallelFor(16, func(i int) error {
 			if i == 3 || i == 11 {
 				return errIndex(i)
 			}
 			return nil
 		})
-		Workers = old
 		if got, ok := err.(errIndex); !ok || int(got) != 3 {
 			t.Errorf("Workers=%d: got %v, want index-3 error", w, err)
 		}
@@ -50,7 +44,7 @@ type errIndex int
 func (e errIndex) Error() string { return "cell failed" }
 
 func TestParallelForEmpty(t *testing.T) {
-	if err := parallelFor(0, func(int) error { t.Fatal("fn called"); return nil }); err != nil {
+	if err := (Harness{}).parallelFor(0, func(int) error { t.Fatal("fn called"); return nil }); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -52,7 +52,7 @@ type SensitivityRow struct {
 
 // Sensitivity runs the sweep over the named benchmarks (all when empty),
 // one (benchmark, cost model) point per worker-pool cell.
-func Sensitivity(scaleDiv int, benchNames []string) ([]SensitivityRow, error) {
+func (h Harness) Sensitivity(scaleDiv int, benchNames []string) ([]SensitivityRow, error) {
 	wanted := map[string]bool{}
 	for _, n := range benchNames {
 		wanted[n] = true
@@ -65,7 +65,7 @@ func Sensitivity(scaleDiv int, benchNames []string) ([]SensitivityRow, error) {
 	}
 	models := SensitivityModels()
 	rows := make([]SensitivityRow, len(benches)*len(models))
-	err := parallelFor(len(rows), func(i int) error {
+	err := h.parallelFor(len(rows), func(i int) error {
 		b := benches[i/len(models)]
 		scale := b.RefScale / scaleDiv
 		if scale < 64 {

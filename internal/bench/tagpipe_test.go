@@ -3,10 +3,11 @@ package bench
 import (
 	"testing"
 
+	"shift/internal/shift"
 	"shift/internal/workload"
 )
 
-// Tagpipe routes instrumented measurement runs through the decoupled
+// A Decoupled base routes instrumented measurement runs through the decoupled
 // pipeline without changing their verdicts or architectural outcome: a
 // benchmark must complete clean and produce the same guest output and
 // retirement count as the inline configuration. (Cycle counts may
@@ -20,15 +21,11 @@ func TestTagpipeWiring(t *testing.T) {
 		scale = 64
 	}
 	cfg := ByteUnsafe
-	inline, err := RunBenchmark(b, scale, &cfg)
+	inline, err := Harness{}.RunBenchmark(b, scale, &cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	prev := Tagpipe
-	Tagpipe = true
-	defer func() { Tagpipe = prev }()
-	piped, err := RunBenchmark(b, scale, &cfg)
+	piped, err := Harness{Base: shift.Options{Decoupled: 1}}.RunBenchmark(b, scale, &cfg)
 	if err != nil {
 		t.Fatalf("decoupled run: %v", err)
 	}

@@ -183,8 +183,15 @@ func instrumentProg(prog *isa.Program, opt Options) (*isa.Program, error) {
 	if !opt.Instrument {
 		return prog, nil
 	}
+	return instrument.Apply(prog, opt.InstrumentOptions())
+}
+
+// InstrumentOptions maps the run options onto the instrumentation pass'
+// options: the one mapping Build uses, exported for tools (shiftlint)
+// that drive the pass themselves.
+func (opt Options) InstrumentOptions() instrument.Options {
 	conf, gran := opt.ResolvePolicy()
-	return instrument.Apply(prog, instrument.Options{
+	return instrument.Options{
 		Gran:             gran,
 		Feat:             opt.Features,
 		NaTPerFunction:   opt.NaTPerFunction,
@@ -196,7 +203,7 @@ func instrumentProg(prog *isa.Program, opt Options) (*isa.Program, error) {
 		Selective:        opt.Selective,
 		SelectiveSources: conf.Sources,
 		Stats:            opt.InstrStats,
-	})
+	}
 }
 
 // Alert is a detected policy violation.
