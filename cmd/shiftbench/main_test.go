@@ -1,40 +1,40 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 )
 
 // The acceptance tests exec the built command so flag validation is
 // tested at the process boundary. Experiments themselves are covered by
 // internal/bench; here only the cheap table1 path runs end to end.
-var buildOnce sync.Once
-var builtPath string
-var buildErr error
+var shiftbenchBin string
 
-func shiftbenchBin(t *testing.T) string {
-	t.Helper()
-	buildOnce.Do(func() {
-		builtPath = filepath.Join(os.TempDir(), "shiftbench-under-test")
-		out, err := exec.Command("go", "build", "-o", builtPath, ".").CombinedOutput()
-		if err != nil {
-			buildErr = err
-			builtPath = string(out)
-		}
-	})
-	if buildErr != nil {
-		t.Fatalf("building shiftbench: %v\n%s", buildErr, builtPath)
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "shiftbench-test")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	return builtPath
+	shiftbenchBin = filepath.Join(dir, "shiftbench")
+	out, err := exec.Command("go", "build", "-o", shiftbenchBin, ".").CombinedOutput()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "building shiftbench: %v\n%s", err, out)
+		os.RemoveAll(dir)
+		os.Exit(1)
+	}
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
 }
 
 func runCmd(t *testing.T, args ...string) (int, string, string) {
 	t.Helper()
-	cmd := exec.Command(shiftbenchBin(t), args...)
+	cmd := exec.Command(shiftbenchBin, args...)
 	var out, errb strings.Builder
 	cmd.Stdout, cmd.Stderr = &out, &errb
 	err := cmd.Run()

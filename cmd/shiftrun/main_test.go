@@ -1,40 +1,39 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 )
 
-// buildOnce compiles the command once per test binary; acceptance tests
-// exec the real executable so flag validation and exit codes are tested
-// at the process boundary, exactly as a user hits them.
-var buildOnce sync.Once
-var builtPath string
-var buildErr error
+// The tests exec the built command, so flag validation and exit codes
+// are tested at the process boundary, exactly as a user hits them.
+var shiftrunBin string
 
-func shiftrunBin(t *testing.T) string {
-	t.Helper()
-	buildOnce.Do(func() {
-		builtPath = filepath.Join(os.TempDir(), "shiftrun-under-test")
-		out, err := exec.Command("go", "build", "-o", builtPath, ".").CombinedOutput()
-		if err != nil {
-			buildErr = err
-			builtPath = string(out)
-		}
-	})
-	if buildErr != nil {
-		t.Fatalf("building shiftrun: %v\n%s", buildErr, builtPath)
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "shiftrun-test")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	return builtPath
+	shiftrunBin = filepath.Join(dir, "shiftrun")
+	out, err := exec.Command("go", "build", "-o", shiftrunBin, ".").CombinedOutput()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "building shiftrun: %v\n%s", err, out)
+		os.RemoveAll(dir)
+		os.Exit(1)
+	}
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
 }
 
 func runCmd(t *testing.T, args ...string) (int, string, string) {
 	t.Helper()
-	cmd := exec.Command(shiftrunBin(t), args...)
+	cmd := exec.Command(shiftrunBin, args...)
 	var out, errb strings.Builder
 	cmd.Stdout, cmd.Stderr = &out, &errb
 	err := cmd.Run()

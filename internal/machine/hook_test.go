@@ -87,8 +87,7 @@ func TestStepHookErrorTrapsOracle(t *testing.T) {
 }
 
 // Spawn carries the hook over (threads of one run share its observer);
-// Reset does not (a reset machine is a new run with a new identity) —
-// ResetKeepIdentity is the explicit opt-in for the legacy carry-over.
+// Reset does not (a reset machine is a new run with a new identity).
 func TestHookSurvivesSpawnNotReset(t *testing.T) {
 	p := hookProg(t)
 	m := New(p, mem.New())
@@ -103,11 +102,6 @@ func TestHookSurvivesSpawnNotReset(t *testing.T) {
 	m.Reset()
 	if m.Hook != nil {
 		t.Error("Reset carried the previous run's hook into the next run")
-	}
-	m.Hook = h
-	m.ResetKeepIdentity()
-	if m.Hook != StepHook(h) {
-		t.Error("ResetKeepIdentity dropped the hook")
 	}
 }
 

@@ -325,22 +325,9 @@ func New(p *isa.Program, m *mem.Memory) *Machine {
 // run's trace slices to the previous thread and feeds a live checker a
 // machine it no longer models. A pooled guest recycled with a stale
 // hook would hand request N's oracle request N+1's retirement stream.
-// Callers that genuinely re-run the same configuration (bench reruns
-// with one standing observer) opt back in with ResetKeepIdentity.
 func (m *Machine) Reset() {
-	m.reset(0, nil)
-}
-
-// ResetKeepIdentity is Reset preserving the machine's TID and Hook —
-// the legacy behavior, for reruns where the caller guarantees the
-// observer and thread identity really do span runs.
-func (m *Machine) ResetKeepIdentity() {
-	m.reset(m.TID, m.Hook)
-}
-
-func (m *Machine) reset(tid int, hook StepHook) {
 	st := m.Stats
-	*m = Machine{Prog: m.Prog, Mem: m.Mem, OS: m.OS, Feat: m.Feat, Costs: m.Costs, Budget: m.Budget, TID: tid, Hook: hook, UnsafePreempt: m.UnsafePreempt, Stats: st, Engine: m.Engine, tc: m.tc}
+	*m = Machine{Prog: m.Prog, Mem: m.Mem, OS: m.OS, Feat: m.Feat, Costs: m.Costs, Budget: m.Budget, UnsafePreempt: m.UnsafePreempt, Stats: st, Engine: m.Engine, tc: m.tc}
 	if st != nil {
 		prof := st.Profile
 		*st = Stats{}

@@ -10,10 +10,10 @@ import (
 	"shift/internal/metrics"
 )
 
-// benchProg is the same ALU/load/store/branch mix as the interpreter's
-// headline BenchmarkStepThroughput, so the three variants below read as
-// a direct overhead comparison: no hook (the default fast path), hook
-// attached, hook attached through MultiHook (the oracle+trace shape).
+// benchProg is the same ALU/load/store/branch mix as the machine's
+// headline BenchmarkStepThroughput (the no-hook fast path), so the two
+// variants below read as a direct overhead comparison against it: hook
+// attached, and hook attached through MultiHook (the oracle+trace shape).
 func benchProg(b *testing.B) *isa.Program {
 	b.Helper()
 	p, err := asm.Assemble(`
@@ -61,13 +61,6 @@ func benchRun(b *testing.B, p *isa.Program, hook machine.StepHook) {
 	if b.Elapsed() > 0 {
 		b.ReportMetric(float64(retired)/b.Elapsed().Seconds(), "guest-instr/s")
 	}
-}
-
-// BenchmarkStepThroughputUntraced pins the zero-overhead claim: with no
-// hook attached, this must track the interpreter's own
-// BenchmarkStepThroughput — the fast path pays one nil check.
-func BenchmarkStepThroughputUntraced(b *testing.B) {
-	benchRun(b, benchProg(b), nil)
 }
 
 // BenchmarkStepThroughputTraced measures the full observability cost:
