@@ -9,14 +9,13 @@
 //
 //	shiftd                  serve until terminated
 //	shiftd -smoke           start, verify benign/404/exploit handling, exit
-//	shiftd -sweep           run the load harness and print a throughput table
 //
 // Flags: -addr, -pool (guests), -tagpipe (check each request with the
 // decoupled tag pipeline; on by default, -tagpipe=false keeps tag
 // maintenance inline), -selective (instrument only statically
 // taint-reachable guest sites; the kept/skipped site counts are exported
-// as shift_selective_sites_* gauges), -sweep-requests, -sweep-max
-// (highest in-flight level, direct mode).
+// as shift_selective_sites_* gauges). Load testing lives in
+// cmd/shiftperf's serve workloads.
 package main
 
 import (
@@ -40,12 +39,10 @@ import (
 // config is shiftd's command line: the guests' run options plus the
 // server's own settings.
 type config struct {
-	opt           shift.Options
-	addr          string
-	poolSize      int
-	smoke, sweep  bool
-	sweepRequests int
-	sweepMax      int
+	opt      shift.Options
+	addr     string
+	poolSize int
+	smoke    bool
 }
 
 // parseFlags parses shiftd's command line on fs. The guests' run options
@@ -64,9 +61,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (*config, error) {
 	fs.IntVar(&c.poolSize, "pool", 4, "warm guests in the pool")
 	shift.BindFlags(fs, &c.opt, "tagpipe", "selective")
 	fs.BoolVar(&c.smoke, "smoke", false, "run the smoke check against a live server and exit")
-	fs.BoolVar(&c.sweep, "sweep", false, "run the load harness and exit")
-	fs.IntVar(&c.sweepRequests, "sweep-requests", 2000, "requests per sweep level")
-	fs.IntVar(&c.sweepMax, "sweep-max", 10000, "highest in-flight level (direct mode)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -99,13 +93,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Println("shiftd: smoke: PASS")
-		return
-	}
-	if c.sweep {
-		if err := runSweep(os.Stdout, c.poolSize, opt, c.sweepRequests, c.sweepMax); err != nil {
-			fmt.Fprintln(os.Stderr, "shiftd: sweep:", err)
-			os.Exit(1)
-		}
 		return
 	}
 

@@ -186,8 +186,7 @@ func TestRequestName(t *testing.T) {
 }
 
 // Concurrent mixed traffic over a pool smaller than the client count:
-// every benign response byte-exact, every exploit detected. This is the
-// in-process version of the sweep's integrity assertion.
+// every benign response byte-exact, every exploit detected.
 func TestConcurrentMixedTraffic(t *testing.T) {
 	s, _ := handlerFixture(t)
 	want := string(docRoot()["/www/htdocs/index.html"])

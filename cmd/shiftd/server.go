@@ -95,9 +95,8 @@ func (s *server) world(name string) *shift.World {
 }
 
 // serve runs one request through the pool and classifies the outcome.
-// It is the transport-independent core: the HTTP handler and the sweep
-// harness's direct mode both go through it, so a load test exercises
-// exactly the production path minus the socket.
+// It is the transport-independent core of the HTTP handler, so tests
+// can drive the production path without a socket.
 func (s *server) serve(name string) (status int, body []byte) {
 	s.requests.Inc()
 	start := time.Now()

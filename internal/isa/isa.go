@@ -140,7 +140,7 @@ const (
 	OpNop
 
 	// NumOpcodes is one past the last valid opcode; usable as an array
-	// bound for per-opcode accounting.
+	// bound for per-opcode tables.
 	NumOpcodes
 )
 

@@ -17,9 +17,9 @@
 // mid-block), the engine delegates the slice to exec instead of
 // duplicating its behaviour.
 //
-// The engine runs only hook-free slices: a slice with a StepHook or
-// Stats collector attached goes to exec, which delivers PreStep/PostStep
-// and per-op accounting. Machine state is materialized lazily: within a
+// The engine runs only hook-free slices: a slice with a StepHook or a
+// profile attached goes to exec, which delivers PreStep/PostStep and
+// per-PC accounting. Machine state is materialized lazily: within a
 // block, PC and Retired live as (entry, index) in the driver and Cycles
 // accumulates in a local; all three are written back only at block
 // exits — terminators, traps, syscalls, and quantum expiry. The
@@ -38,8 +38,8 @@ import (
 
 // Engine selects the execution engine for unhooked Run and scheduler
 // slices. The zero value is the block engine, so machines default to
-// it. Step, and every slice with a StepHook or Stats collector
-// attached, always use the interpreter (the reference path).
+// it. Step, and every slice with a StepHook or profile attached, always
+// use the interpreter (the reference path).
 type Engine uint8
 
 // Engines.
@@ -259,11 +259,11 @@ func (m *Machine) translations(text []isa.Instruction) *TransCache {
 
 // slice executes one scheduling slice. Run and the Scheduler go through
 // here so the engine choice is applied uniformly. A slice with a
-// StepHook or Stats collector attached always runs on the interpreter,
+// StepHook or profile attached always runs on the interpreter,
 // the reference for per-instruction delivery; only unhooked slices
 // reach the block engine. Step stays on the interpreter.
 func (m *Machine) slice(text []isa.Instruction, budget, sliceEnd uint64) *Trap {
-	if m.Engine == EngineInterp || m.Hook != nil || m.Stats != nil {
+	if m.Engine == EngineInterp || m.Hook != nil || m.profile != nil {
 		return m.exec(text, budget, sliceEnd, false)
 	}
 	return m.execBlocksFast(text, budget, sliceEnd)
@@ -457,7 +457,7 @@ func (m *Machine) blockAbort(b *block, i int, cycles uint64, kind TrapKind, addr
 
 // execBlocksFast is the hook-free block engine slice loop, the drop-in
 // counterpart of exec(text, budget, sliceEnd, false) when no StepHook
-// or Stats collector is attached. Exit conditions, trap state and
+// or profile is attached. Exit conditions, trap state and
 // accounting are bit-identical to the interpreter's; PC, Retired and
 // Cycles are materialized lazily at block exits.
 func (m *Machine) execBlocksFast(text []isa.Instruction, budget, sliceEnd uint64) *Trap {

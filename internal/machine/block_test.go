@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"shift/internal/asm"
@@ -290,10 +291,10 @@ func TestEngineParitySlices(t *testing.T) {
 }
 
 // TestEngineParityHooked pins slice routing: a block-engine machine with
-// a hook or Stats collector attached must run on the interpreter (no
-// translation cache attached, no block traffic) and hand the hook the
-// interpreter's retirement stream, while an unhooked block-engine run
-// must still attach a cache and execute blocks.
+// a hook or profile attached must run on the interpreter (no translation
+// cache attached, no block traffic) and hand the hook the interpreter's
+// retirement stream, while an unhooked block-engine run must still
+// attach a cache and execute blocks.
 func TestEngineParityHooked(t *testing.T) {
 	noBlocks := func(t *testing.T, label string, m *Machine) {
 		t.Helper()
@@ -308,12 +309,11 @@ func TestEngineParityHooked(t *testing.T) {
 			ref := newTestMachine(t, tc.src, EngineInterp, tc.setup)
 			ref.Feat = tc.feat
 			ref.Hook = &recordingHook{pcs: &refSeen}
-			ref.EnableStats()
+			ref.EnableProfile()
 			refTrap := ref.Run()
 			got := newTestMachine(t, tc.src, EngineBlock, tc.setup)
 			got.Feat = tc.feat
 			got.Hook = &recordingHook{pcs: &gotSeen}
-			got.EnableStats()
 			gotTrap := got.Run()
 			compareMachines(t, tc.name, ref, got, refTrap, gotTrap)
 			if len(refSeen) != len(gotSeen) {
@@ -324,20 +324,17 @@ func TestEngineParityHooked(t *testing.T) {
 					t.Fatalf("hook stream diverges at %d: interp pc=%d block pc=%d", i, refSeen[i], gotSeen[i])
 				}
 			}
-			if ref.Stats.RetiredByOp != got.Stats.RetiredByOp {
-				t.Error("RetiredByOp mismatch")
-			}
 			noBlocks(t, "hooked", got)
 
-			statsOnly := newTestMachine(t, tc.src, EngineBlock, tc.setup)
-			statsOnly.Feat = tc.feat
-			statsOnly.EnableStats()
-			statsTrap := statsOnly.Run()
-			compareMachines(t, tc.name+"/stats", ref, statsOnly, refTrap, statsTrap)
-			if ref.Stats.RetiredByOp != statsOnly.Stats.RetiredByOp {
-				t.Error("stats-only RetiredByOp mismatch")
+			profOnly := newTestMachine(t, tc.src, EngineBlock, tc.setup)
+			profOnly.Feat = tc.feat
+			profOnly.EnableProfile()
+			profTrap := profOnly.Run()
+			compareMachines(t, tc.name+"/profile", ref, profOnly, refTrap, profTrap)
+			if !slices.Equal(ref.profile, profOnly.profile) {
+				t.Error("profile-only per-PC profile mismatch")
 			}
-			noBlocks(t, "stats-only", statsOnly)
+			noBlocks(t, "profile-only", profOnly)
 
 			plain := newTestMachine(t, tc.src, EngineBlock, tc.setup)
 			plain.Feat = tc.feat

@@ -223,18 +223,14 @@ type Machine struct {
 	Costs Costs
 
 	// Accounting. Cycles and the per-cost-class split are always on (every
-	// figure needs them); the optional per-opcode and per-PC counters live
-	// behind the Stats hook so the common path touches minimal state.
+	// figure needs them); the optional per-PC profile (see EnableProfile)
+	// costs one nil check per retirement when off.
 	Cycles        uint64
 	CyclesByClass [isa.NumCostClasses]uint64
 	Retired       uint64
 
 	// Budget bounds total retired instructions; 0 means the default.
 	Budget uint64
-
-	// Stats, when non-nil (see EnableStats / EnableProfile), collects
-	// optional per-opcode and per-PC retirement counts.
-	Stats *Stats
 
 	// Hook, when non-nil, observes every retirement (one nil check per
 	// instruction on the hot path).
@@ -259,39 +255,23 @@ type Machine struct {
 
 	// Engine selects the execution engine for unhooked Run and scheduler
 	// slices (see block.go). The zero value is the block engine. Step,
-	// and every slice with Hook or Stats set, always use the interpreter.
+	// and every hooked or profiled slice, always use the interpreter.
 	Engine Engine
 
 	// BlockStats counts this machine's translation-cache traffic under
-	// the block engine, so only unhooked, stats-free slices add to it.
+	// the block engine, so only unhooked, unprofiled slices add to it.
 	// Reset zeroes the counters (like Cycles/Retired); the cache itself
 	// survives.
 	BlockStats BlockStats
+
+	// profile, when non-nil (see EnableProfile), counts retirements per
+	// instruction index.
+	profile []uint64
 
 	// tc is the attached translation cache, normally the program's own
 	// (see translations). It survives Reset: compiled blocks are a
 	// property of the program text, not of one run.
 	tc *TransCache
-}
-
-// Stats holds the optional accounting a Machine only pays for when a
-// caller asks (workload reporting, profiling): one nil check on the hot
-// path gates all of it.
-type Stats struct {
-	// RetiredByOp counts retirements per opcode.
-	RetiredByOp [isa.NumOpcodes]uint64
-	// Profile, when non-nil (see EnableProfile), counts retirements per
-	// instruction index.
-	Profile []uint64
-}
-
-// EnableStats turns on per-opcode retirement accounting (InstructionMix
-// reads it) and returns the collector.
-func (m *Machine) EnableStats() *Stats {
-	if m.Stats == nil {
-		m.Stats = &Stats{}
-	}
-	return m.Stats
 }
 
 // HaltPC is the sentinel return address given to spawned threads: a
@@ -311,9 +291,9 @@ func New(p *isa.Program, m *mem.Memory) *Machine {
 }
 
 // Reset rewinds execution state (registers, accounting) but not memory.
-// The Stats collector survives with its counters zeroed: EnableStats and
-// EnableProfile express a standing request for accounting, not a
-// per-run one, so a Reset must not silently turn them off. The engine
+// The profile survives with its counters zeroed: EnableProfile expresses
+// a standing request for accounting, not a per-run one, so a Reset must
+// not silently turn it off. The engine
 // selection and translation cache survive for the same reason — the
 // cache holds compiled program text, which a Reset does not change, so
 // dropping it would force a full recompile on every rerun.
@@ -326,16 +306,9 @@ func New(p *isa.Program, m *mem.Memory) *Machine {
 // machine it no longer models. A pooled guest recycled with a stale
 // hook would hand request N's oracle request N+1's retirement stream.
 func (m *Machine) Reset() {
-	st := m.Stats
-	*m = Machine{Prog: m.Prog, Mem: m.Mem, OS: m.OS, Feat: m.Feat, Costs: m.Costs, Budget: m.Budget, UnsafePreempt: m.UnsafePreempt, Stats: st, Engine: m.Engine, tc: m.tc}
-	if st != nil {
-		prof := st.Profile
-		*st = Stats{}
-		if prof != nil {
-			clear(prof)
-			st.Profile = prof
-		}
-	}
+	prof := m.profile
+	clear(prof)
+	*m = Machine{Prog: m.Prog, Mem: m.Mem, OS: m.OS, Feat: m.Feat, Costs: m.Costs, Budget: m.Budget, UnsafePreempt: m.UnsafePreempt, Engine: m.Engine, tc: m.tc, profile: prof}
 	m.PR[0] = true
 	m.PC = m.Prog.Entry
 }
@@ -387,13 +360,13 @@ func (m *Machine) Step() *Trap {
 // where a trap actually escapes, so the common path allocates nothing.
 func (m *Machine) exec(text []isa.Instruction, budget, sliceEnd uint64, single bool) *Trap {
 	// Loop-invariant state is hoisted once per slice instead of re-read
-	// per retirement: the hook, stats collector, preemption mode and cost
+	// per retirement: the hook, profile, preemption mode and cost
 	// table are all fixed before a run starts (budget resolution is
 	// likewise per-slice — the callers pass it in). The slice-boundary
 	// test at the bottom uses the hoisted copies inline; it is the
 	// tag-coherent preemption rule documented on UnsafePreempt.
 	n := uint(len(text))
-	st := m.Stats
+	prof := m.profile
 	h := m.Hook
 	unsafePre := m.UnsafePreempt
 	c := &m.Costs
@@ -412,11 +385,8 @@ func (m *Machine) exec(text []isa.Instruction, budget, sliceEnd uint64, single b
 		}
 		ins := &text[m.PC]
 		m.Retired++
-		if st != nil {
-			st.RetiredByOp[ins.Op]++
-			if st.Profile != nil {
-				st.Profile[m.PC]++
-			}
+		if prof != nil {
+			prof[m.PC]++
 		}
 		if h != nil {
 			h.PreStep(m, ins)
@@ -833,21 +803,4 @@ func (m *Machine) Run() *Trap {
 		}
 	}
 	return nil
-}
-
-// InstructionMix summarises retired instructions for workload reporting:
-// fractions of loads, stores and compares, the knobs that determine the
-// paper's per-benchmark slowdowns. It needs the per-opcode counters, so
-// EnableStats must have been called before the run.
-func (m *Machine) InstructionMix() (loads, stores, compares, branches float64) {
-	total := float64(m.Retired)
-	if total == 0 || m.Stats == nil {
-		return 0, 0, 0, 0
-	}
-	byOp := &m.Stats.RetiredByOp
-	ld := byOp[isa.OpLd] + byOp[isa.OpLdS] + byOp[isa.OpLdFill]
-	st := byOp[isa.OpSt] + byOp[isa.OpStSpill]
-	cmp := byOp[isa.OpCmp] + byOp[isa.OpCmpi] + byOp[isa.OpCmpNa] + byOp[isa.OpCmpiNa]
-	br := byOp[isa.OpBr] + byOp[isa.OpBrCall] + byOp[isa.OpBrRet] + byOp[isa.OpBrInd]
-	return float64(ld) / total, float64(st) / total, float64(cmp) / total, float64(br) / total
 }

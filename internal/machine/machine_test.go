@@ -495,43 +495,6 @@ func TestCostClassesAccumulate(t *testing.T) {
 	}
 }
 
-func TestInstructionMix(t *testing.T) {
-	m, trap := run(t, `
-	.data
-w: .word8 5
-	.text
-	movl r1 = w
-	ld8 r2 = [r1]
-	st8 [r1] = r2
-	cmpi.eq p6, p7 = r2, 5
-	mov r32 = r0
-	syscall 1
-`, Features{}, func(m *Machine) { m.EnableStats() })
-	if trap != nil {
-		t.Fatal(trap)
-	}
-	loads, stores, compares, branches := m.InstructionMix()
-	if loads == 0 || stores == 0 || compares == 0 {
-		t.Errorf("mix lost categories: %v %v %v %v", loads, stores, compares, branches)
-	}
-}
-
-func TestInstructionMixNeedsStats(t *testing.T) {
-	p, err := asm.Assemble("movl r1 = 1\nmov r32 = r1\nsyscall 1\n", asm.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := New(p, mem.New())
-	m.OS = exitOnlyOS{}
-	if trap := m.Run(); trap != nil {
-		t.Fatal(trap)
-	}
-	loads, stores, compares, branches := m.InstructionMix()
-	if loads != 0 || stores != 0 || compares != 0 || branches != 0 {
-		t.Error("InstructionMix reported values without EnableStats")
-	}
-}
-
 func TestResetRewindsExecutionState(t *testing.T) {
 	p, err := asm.Assemble("movl r1 = 1\nmov r32 = r1\nsyscall 1\n", asm.Options{})
 	if err != nil {
@@ -588,7 +551,7 @@ loop:
 		t.Errorf("hottest symbol = %q", hs[0].Symbol)
 	}
 	var total uint64
-	for _, c := range m.Stats.Profile {
+	for _, c := range m.profile {
 		total += c
 	}
 	if total != m.Retired {

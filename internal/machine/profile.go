@@ -9,15 +9,7 @@ import "sort"
 
 // EnableProfile starts counting retirements per instruction index.
 func (m *Machine) EnableProfile() {
-	m.EnableStats().Profile = make([]uint64, len(m.Prog.Text))
-}
-
-// profile returns the per-PC counts, nil when profiling is off.
-func (m *Machine) profile() []uint64 {
-	if m.Stats == nil {
-		return nil
-	}
-	return m.Stats.Profile
+	m.profile = make([]uint64, len(m.Prog.Text))
 }
 
 // Hotspot is one profiled instruction.
@@ -70,13 +62,13 @@ func nearestSymbol(syms []symAt, pc int) string {
 
 // Hotspots returns the n most-retired instructions, hottest first.
 func (m *Machine) Hotspots(n int) []Hotspot {
-	if m.profile() == nil {
+	if m.profile == nil {
 		return nil
 	}
 	syms := m.symbolTable()
 
 	var out []Hotspot
-	for pc, count := range m.profile() {
+	for pc, count := range m.profile {
 		if count > 0 {
 			out = append(out, Hotspot{PC: pc, Count: count})
 		}
@@ -100,7 +92,7 @@ func (m *Machine) Hotspots(n int) []Hotspot {
 // FunctionProfile aggregates retirement counts by nearest symbol,
 // busiest first.
 func (m *Machine) FunctionProfile() []Hotspot {
-	if m.profile() == nil {
+	if m.profile == nil {
 		return nil
 	}
 	hs := make([]Hotspot, 0, 16)
@@ -108,7 +100,7 @@ func (m *Machine) FunctionProfile() []Hotspot {
 	syms := m.symbolTable()
 	si := 0
 	current := ""
-	for pc, count := range m.profile() {
+	for pc, count := range m.profile {
 		for si < len(syms) && syms[si].idx <= pc {
 			current = syms[si].name
 			si++

@@ -32,49 +32,41 @@ loop:
 	return p
 }
 
-// Reset must carry the Stats collector (zeroed), not silently disable
-// EnableStats/EnableProfile. Pre-fix, Reset rebuilt the Machine without
-// Stats and this test failed at the nil check.
+// Reset must carry the profile (zeroed), not silently undo EnableProfile.
+// Pre-fix, Reset rebuilt the Machine without it and this test failed at
+// the nil check.
 func TestResetPreservesStats(t *testing.T) {
 	p := profileProg(t)
 	m := New(p, mem.New())
 	m.OS = exitOnlyOS{}
-	st := m.EnableStats()
 	m.EnableProfile()
 	if trap := m.Run(); trap != nil {
 		t.Fatal(trap)
 	}
-	if st.RetiredByOp[isa.OpAddi] == 0 || m.Stats.Profile[1] == 0 {
-		t.Fatal("run collected no stats; test program broken")
+	prof := m.profile
+	if prof[1] == 0 {
+		t.Fatal("run collected no profile; test program broken")
 	}
 
 	m.Reset()
-	if m.Stats == nil {
-		t.Fatal("Reset dropped Stats: EnableStats silently undone")
-	}
-	if m.Stats != st {
-		t.Error("Reset replaced the Stats collector instead of carrying it")
-	}
-	for op, c := range st.RetiredByOp {
-		if c != 0 {
-			t.Errorf("Reset left RetiredByOp[%d] = %d, want 0", op, c)
-		}
-	}
-	if st.Profile == nil {
+	if m.profile == nil {
 		t.Fatal("Reset dropped the profile: EnableProfile silently undone")
 	}
-	for pc, c := range st.Profile {
+	if &m.profile[0] != &prof[0] {
+		t.Error("Reset replaced the profile instead of carrying it")
+	}
+	for pc, c := range prof {
 		if c != 0 {
-			t.Errorf("Reset left Profile[%d] = %d, want 0", pc, c)
+			t.Errorf("Reset left profile[%d] = %d, want 0", pc, c)
 		}
 	}
 
-	// And the carried collector keeps counting on the next run.
+	// And the carried profile keeps counting on the next run.
 	if trap := m.Run(); trap != nil {
 		t.Fatal(trap)
 	}
-	if st.RetiredByOp[isa.OpAddi] == 0 || st.Profile[1] == 0 {
-		t.Error("carried Stats collector did not count the second run")
+	if prof[1] == 0 {
+		t.Error("carried profile did not count the second run")
 	}
 }
 

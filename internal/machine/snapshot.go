@@ -33,7 +33,7 @@ func (m *Machine) SnapshotRegs() *RegSnapshot {
 // RestoreRegs rewinds the machine to the snapshot's architectural state
 // with a clean per-run identity: it performs a full Reset (accounting
 // zeroed, Halted cleared, TID and Hook dropped, translation cache and
-// Stats collector kept) and then overlays the snapshot's registers and
+// profile kept) and then overlays the snapshot's registers and
 // PC. Memory is not touched — pair it with mem.Memory.Restore.
 func (m *Machine) RestoreRegs(s *RegSnapshot) {
 	m.Reset()

@@ -14,7 +14,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"sync"
 )
 
 // Address-space geometry.
@@ -142,14 +141,6 @@ type Memory struct {
 	// between runs.
 	tlbHits   uint64
 	tlbMisses uint64
-
-	// shmu guards pages and touched for the Shared* accessors, which
-	// bypass the software TLB (the TLB is mutated even by plain reads,
-	// so it can never be consulted concurrently). The plain accessors do
-	// NOT take it: their guarantees between each other are unchanged, and
-	// mixing plain and Shared* access to one Memory from different
-	// goroutines remains the caller's synchronization problem.
-	shmu sync.RWMutex
 }
 
 // New returns an empty memory with no regions mapped.
@@ -495,63 +486,6 @@ func (m *Memory) ReadCString(addr uint64, max int) (string, *Fault) {
 		i += chunk
 	}
 	return string(out), nil
-}
-
-// SharedPeek1 reads one byte like Peek but safely from concurrent
-// goroutines: it bypasses both the cache model and the software TLB and
-// takes an internal read lock on the page table. Byte-level atomicity
-// between racing writers is NOT provided here — callers that need a
-// consistent read-modify-write serialize on their own locks (the taint
-// package's shared tag space shards on bitmap words).
-func (m *Memory) SharedPeek1(addr uint64) (byte, *Fault) {
-	if !m.rangeOK(addr, 1) {
-		if f := m.check(addr, 1); f != nil {
-			return 0, f
-		}
-	}
-	key := addr >> pageBits
-	m.shmu.RLock()
-	p := m.pages[key]
-	m.shmu.RUnlock()
-	if p == nil {
-		if b := m.base[key]; b != nil {
-			return b[addr&(pageSize-1)], nil
-		}
-		return 0, nil
-	}
-	return p[addr&(pageSize-1)], nil
-}
-
-// SharedWrite1 writes one byte, safe against concurrent SharedPeek1 /
-// SharedWrite1 calls to other bytes: frame allocation is serialized on
-// the page-table lock, and the TLB and cache model are bypassed. Two
-// goroutines writing the same byte still need external ordering.
-func (m *Memory) SharedWrite1(addr uint64, v byte) *Fault {
-	if !m.rangeOK(addr, 1) {
-		if f := m.check(addr, 1); f != nil {
-			return f
-		}
-	}
-	key := addr >> pageBits
-	m.shmu.RLock()
-	p := m.pages[key]
-	m.shmu.RUnlock()
-	if p == nil {
-		m.shmu.Lock()
-		if p = m.pages[key]; p == nil {
-			p = new([pageSize]byte)
-			if b := m.base[key]; b != nil {
-				*p = *b
-			}
-			m.addPage(key, p)
-		}
-		m.shmu.Unlock()
-	}
-	if m.track {
-		m.markDirtyShared(key)
-	}
-	p[addr&(pageSize-1)] = v
-	return nil
 }
 
 // PagesTouched returns the number of 4KiB frames ever written.

@@ -39,9 +39,6 @@ type Snapshot struct {
 	touched      uint64
 }
 
-// Pages returns the number of resident pages the snapshot captured.
-func (s *Snapshot) Pages() int { return len(s.frames) }
-
 // Snapshot captures the memory's current state. Page contents are
 // deep-copied, so later writes through the source memory do not alter
 // the snapshot. Pages inherited from this memory's own base layer (if
@@ -109,16 +106,6 @@ func (m *Memory) markDirty(key uint64) {
 	}
 	m.lastDirty = key
 	m.dirty[key] = struct{}{}
-}
-
-// markDirtyShared is markDirty behind the page-table lock, for the
-// Shared* accessors (which may run from several goroutines).
-func (m *Memory) markDirtyShared(key uint64) {
-	m.shmu.Lock()
-	if _, ok := m.dirty[key]; !ok {
-		m.dirty[key] = struct{}{}
-	}
-	m.shmu.Unlock()
 }
 
 // Restore rewinds every page written since the last restore to its

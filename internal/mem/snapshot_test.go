@@ -204,33 +204,6 @@ func TestZeroRegionPagesShadowsBaseFrames(t *testing.T) {
 	}
 }
 
-func TestSharedAccessorsSeeBaseLayer(t *testing.T) {
-	m := loadImage(t)
-	snap := m.Snapshot()
-	g := NewFromSnapshot(snap)
-	v, f := g.SharedPeek1(Addr(1, 0x100))
-	if f != nil {
-		t.Fatal(f)
-	}
-	if v != 'd' {
-		t.Fatalf("SharedPeek1 through base = %c, want d", v)
-	}
-	// SharedWrite1 copies up and is rewound by Restore.
-	if f := g.SharedWrite1(Addr(1, 0x100), 'Z'); f != nil {
-		t.Fatal(f)
-	}
-	if v, _ := g.SharedPeek1(Addr(1, 0x100)); v != 'Z' {
-		t.Fatalf("SharedWrite1 lost: %c", v)
-	}
-	if v, _ := m.Read(Addr(1, 0x100), 1); v != 'd' {
-		t.Fatalf("SharedWrite1 leaked into source memory: %c", v)
-	}
-	g.Restore(snap)
-	if v, _ := g.SharedPeek1(Addr(1, 0x100)); v != 'd' {
-		t.Fatalf("Restore did not rewind SharedWrite1: %c", v)
-	}
-}
-
 // The block engine's fixed-width store fast paths must participate in
 // dirty tracking exactly like the generic Write — this is the
 // lifecycle bug the differential reuse suite caught: a recycled guest

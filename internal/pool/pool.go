@@ -203,9 +203,6 @@ func (p *Pool) Stats() Stats {
 	}
 }
 
-// SnapshotPages returns the shared base image's resident page count.
-func (p *Pool) SnapshotPages() int { return p.snap.Pages() }
-
 // RegisterMetrics installs the pool's instruments on reg: size and
 // occupancy gauges plus the cumulative recycle counters. The server
 // (cmd/shiftd) serves these from the same process as the workload.

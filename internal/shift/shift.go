@@ -100,7 +100,7 @@ type Options struct {
 	// Engine selects the execution engine for unhooked runs: the
 	// translated-block engine (default) or the reference interpreter.
 	// Checked (Oracle, Decoupled), traced, metered and profiled runs
-	// attach a StepHook or Stats collector and always interpret, whatever
+	// attach a StepHook or a profile and always interpret, whatever
 	// Engine says. The engines are bit-identical in every architectural
 	// observable; interp exists as the oracle's ground truth and for
 	// differential testing.

@@ -81,22 +81,3 @@ func TestClearCostTracksTags(t *testing.T) {
 		t.Fatalf("Clear touched %d pages for 8 tagged bytes, want 1", n)
 	}
 }
-
-func TestClearSharedSpace(t *testing.T) {
-	m := mem.New()
-	m.MapRegion(1, 0)
-	s := NewSpace(m, Byte).Share()
-	if err := s.SetRange(mem.Addr(1, 0x100), 64); err != nil {
-		t.Fatal(err)
-	}
-	if n := s.Clear(); n == 0 {
-		t.Fatal("shared-mode Clear zeroed nothing")
-	}
-	tainted, err := s.Tainted(mem.Addr(1, 0x100), 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tainted {
-		t.Fatal("shared-mode Clear left tags")
-	}
-}

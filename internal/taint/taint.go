@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 
 	"shift/internal/mem"
 )
@@ -95,15 +94,14 @@ func (g Granularity) TagAddr(addr uint64) (tagByte uint64, bit uint) {
 // Space is the tag bitmap over a memory. It writes through the ordinary
 // memory interface so that guest instrumentation code and host-side
 // policy code observe the same bytes.
+//
+// A Space is not safe for concurrent use. Like the memory under it, it
+// belongs to the one goroutine driving its run; a pooled guest's space
+// changes owner only through pool.Acquire and Release, which hand the
+// guest over a channel.
 type Space struct {
 	Gran Granularity
 	Mem  *mem.Memory
-
-	// shards, when non-nil (see Share), serializes every host-side tag
-	// read-modify-write on a lock picked by the bitmap word the tag byte
-	// lives in, and routes the underlying accesses through the memory's
-	// TLB-free Shared accessors.
-	shards *[tagShards]sync.Mutex
 
 	// Birth-channel provenance. spans records, for the tracked units the
 	// host has marked, the channel(s) each mark was born from; live is the
@@ -112,12 +110,10 @@ type Space struct {
 	// is invisible here by construction — ChannelBytes falls back to the
 	// live union for units it has no precise origin for, which is exact
 	// whenever a run's taint all came from one channel and a sound
-	// over-approximation otherwise. originMu guards spans, scratch and
-	// live; the tag bits themselves stay under the shard locks.
-	originMu sync.Mutex
-	spans    []span // sorted, disjoint, equal-channel neighbours merged
-	scratch  []span // paint's reusable window buffer
-	live     Channel
+	// over-approximation otherwise.
+	spans   []span // sorted, disjoint, equal-channel neighbours merged
+	scratch []span // paint's reusable window buffer
+	live    Channel
 }
 
 // span is a run of tracked units sharing one recorded birth-channel
@@ -130,64 +126,10 @@ type span struct {
 	ch          Channel
 }
 
-// tagShards is the number of word-granularity locks a shared Space
-// stripes the bitmap over. Collisions only cost contention, never
-// correctness, so a small power of two suffices.
-const tagShards = 64
-
 // NewSpace maps region 0 of m and returns the tag space over it.
 func NewSpace(m *mem.Memory, g Granularity) *Space {
 	m.MapRegion(0, 0)
 	return &Space{Gran: g, Mem: m}
-}
-
-// Share makes the Space safe for concurrent host-side use: every tag
-// read-modify-write is serialized on one of tagShards locks, sharded at
-// bitmap-word granularity (eight tag bytes — 64 tracked units — per
-// lock), so racing goroutines can never tear a tag unit by interleaving
-// inside another's read-modify-write. Shared accesses bypass the
-// machine's software TLB and cache model entirely; mixing a shared Space
-// with a concurrently *executing* machine on the same memory remains the
-// caller's synchronization problem. Share returns the Space for chaining
-// and is idempotent, but must itself be called before the Space is
-// handed to other goroutines.
-func (s *Space) Share() *Space {
-	if s.shards == nil {
-		s.shards = new([tagShards]sync.Mutex)
-	}
-	return s
-}
-
-// Shared reports whether Share was called.
-func (s *Space) Shared() bool { return s.shards != nil }
-
-// lockTag takes the shard lock covering tagByte, returning the unlock
-// function, or a no-op when the Space is not shared.
-func (s *Space) lockTag(tagByte uint64) func() {
-	if s.shards == nil {
-		return func() {}
-	}
-	mu := &s.shards[(tagByte>>dropBits)%tagShards]
-	mu.Lock()
-	return mu.Unlock
-}
-
-// readTag reads one tag byte through the mode-appropriate accessor. The
-// caller holds the shard lock in shared mode.
-func (s *Space) readTag(tb uint64) (byte, *mem.Fault) {
-	if s.shards != nil {
-		return s.Mem.SharedPeek1(tb)
-	}
-	v, f := s.Mem.Read(tb, 1)
-	return byte(v), f
-}
-
-// writeTag writes one tag byte through the mode-appropriate accessor.
-func (s *Space) writeTag(tb uint64, v byte) *mem.Fault {
-	if s.shards != nil {
-		return s.Mem.SharedWrite1(tb, v)
-	}
-	return s.Mem.Write(tb, 1, uint64(v))
 }
 
 // noteOrigin records ch as a birth channel of the count units starting
@@ -196,8 +138,6 @@ func (s *Space) noteOrigin(start, count uint64, ch Channel) {
 	if ch == 0 {
 		ch = ChanHost
 	}
-	s.originMu.Lock()
-	defer s.originMu.Unlock()
 	s.paint(start, start+(count-1)*s.Gran.UnitBytes(), ch)
 	s.live |= ch
 }
@@ -206,8 +146,6 @@ func (s *Space) noteOrigin(start, count uint64, ch Channel) {
 // starting at start. The live union is sticky until Clear: a cleared
 // range no longer attributes, but channels seen this run stay live.
 func (s *Space) dropOrigin(start, count uint64) {
-	s.originMu.Lock()
-	defer s.originMu.Unlock()
 	s.paint(start, start+(count-1)*s.Gran.UnitBytes(), 0)
 }
 
@@ -215,7 +153,7 @@ func (s *Space) dropOrigin(start, count uint64) {
 // or, when ch is 0, drops their records. It rewrites only the window of
 // spans that overlap or adjoin the range — those are the ones a split or
 // merge can change — and splices the result back in place, so a call in
-// steady state allocates nothing. The caller holds originMu.
+// steady state allocates nothing.
 func (s *Space) paint(first, last uint64, ch Channel) {
 	unit := s.Gran.UnitBytes()
 	sp := s.spans
@@ -271,8 +209,6 @@ func appendSpan(out []span, sp span, unit uint64) []span {
 // the last Clear — the coarse attribution for taint that propagated
 // beyond its precisely-tracked units (register tokens, guest tag writes).
 func (s *Space) Live() Channel {
-	s.originMu.Lock()
-	defer s.originMu.Unlock()
 	return s.live
 }
 
@@ -283,8 +219,6 @@ func (s *Space) Live() Channel {
 func (s *Space) ChannelAt(addr uint64) Channel {
 	unit := s.Gran.UnitBytes()
 	u := addr &^ (unit - 1)
-	s.originMu.Lock()
-	defer s.originMu.Unlock()
 	sp := s.spans
 	k := sort.Search(len(sp), func(k int) bool { return sp[k].last >= u })
 	if k < len(sp) && sp[k].first <= u {
@@ -318,24 +252,11 @@ func (s *Space) ChannelBytes(addr uint64, n int) ([]Channel, error) {
 // a taint.Space reused across requests without it leaks request N's tag
 // bits into request N+1 (the cross-request bleed attack class; see
 // internal/attacks' pool-recycle test). It returns the number of pages
-// that held tags. In shared mode every shard lock is taken for the
-// sweep, so a concurrent read-modify-write cannot interleave mid-clear.
+// that held tags.
 func (s *Space) Clear() int {
-	if s.shards != nil {
-		for i := range s.shards {
-			s.shards[i].Lock()
-		}
-		defer func() {
-			for i := range s.shards {
-				s.shards[i].Unlock()
-			}
-		}()
-	}
 	pages := s.Mem.ZeroRegionPages(0)
-	s.originMu.Lock()
 	s.spans = s.spans[:0] // keep the capacity: a recycled guest reuses it
 	s.live = 0
-	s.originMu.Unlock()
 	return pages
 }
 
@@ -406,9 +327,6 @@ func (s *Space) setRange(addr, n uint64, v bool) error {
 		return err
 	}
 	// Walk tracked units; any byte tainted within a unit taints the unit.
-	// In shared mode each tag byte's read-modify-write runs under its
-	// bitmap-word shard lock, so concurrent range updates touching
-	// different bits of one tag byte cannot lose each other.
 	start, count := s.units(addr, n)
 	unit := s.Gran.UnitBytes()
 	for i := uint64(0); i < count; i++ {
@@ -421,12 +339,9 @@ func (s *Space) setRange(addr, n uint64, v bool) error {
 	return nil
 }
 
-// rmwTag sets or clears one bit of one tag byte, atomically with respect
-// to other shared-mode updates of the same bitmap word.
+// rmwTag sets or clears one bit of one tag byte.
 func (s *Space) rmwTag(a, tb uint64, bit uint, v bool) error {
-	unlock := s.lockTag(tb)
-	defer unlock()
-	old, f := s.readTag(tb)
+	old, f := s.Mem.Read(tb, 1)
 	if f != nil {
 		return fmt.Errorf("taint: reading tag byte for %#x: %w", a, f)
 	}
@@ -435,7 +350,7 @@ func (s *Space) rmwTag(a, tb uint64, bit uint, v bool) error {
 		nb = old | 1<<bit
 	}
 	if nb != old {
-		if f := s.writeTag(tb, nb); f != nil {
+		if f := s.Mem.Write(tb, 1, nb); f != nil {
 			return fmt.Errorf("taint: writing tag byte for %#x: %w", a, f)
 		}
 	}
@@ -455,9 +370,7 @@ func (s *Space) Tainted(addr uint64, n uint64) (bool, error) {
 	for i := uint64(0); i < count; i++ {
 		a := start + i*unit
 		tb, bit := s.Gran.TagAddr(a)
-		unlock := s.lockTag(tb)
-		v, f := s.readTag(tb)
-		unlock()
+		v, f := s.Mem.Read(tb, 1)
 		if f != nil {
 			return false, fmt.Errorf("taint: reading tag byte for %#x: %w", a, f)
 		}
@@ -477,15 +390,7 @@ func (s *Space) PeekUnit(addr uint64) (bool, error) {
 		return false, fmt.Errorf("taint: peek at %#x: unimplemented address bits", addr)
 	}
 	tb, bit := s.Gran.TagAddr(addr)
-	var v byte
-	var f *mem.Fault
-	if s.shards != nil {
-		unlock := s.lockTag(tb)
-		v, f = s.readTag(tb)
-		unlock()
-	} else {
-		v, f = s.Mem.Peek(tb)
-	}
+	v, f := s.Mem.Peek(tb)
 	if f != nil {
 		return false, fmt.Errorf("taint: reading tag byte for %#x: %w", addr, f)
 	}
@@ -500,8 +405,7 @@ const GroupUnits = 64
 // word granularity): bit i is what PeekUnit reports for unit i. It reads
 // the group's 8 tag bytes (byte level) or bit 0 of its 64 tag bytes (word
 // level) with one lookup, under the same no-cache-model rules as
-// PeekUnit, and under the group's shard locks when the Space is shared.
-// ok is false when the group cannot be read that way (unimplemented
+// PeekUnit. ok is false when the group cannot be read that way (unimplemented
 // address bits, a region bound, a fault); callers then fall back to
 // PeekUnit per unit.
 func (s *Space) PeekGroup(addr uint64) (bits uint64, ok bool) {
@@ -514,23 +418,7 @@ func (s *Space) PeekGroup(addr uint64) (bits uint64, ok bool) {
 	if s.Gran.WholeByte() {
 		tags = buf[:]
 	}
-	if s.shards != nil {
-		// The group's tag bytes are whole, consecutive bitmap words, so
-		// its shard locks are consecutive too and never wrap: taking them
-		// in index order keeps the order Clear uses.
-		first := (tb >> dropBits) % tagShards
-		for i := first; i < first+uint64(len(tags))>>dropBits; i++ {
-			s.shards[i].Lock()
-			defer s.shards[i].Unlock()
-		}
-		for i := range tags {
-			v, f := s.Mem.SharedPeek1(tb + uint64(i))
-			if f != nil {
-				return 0, false
-			}
-			tags[i] = v
-		}
-	} else if !s.Mem.PeekBlock(tb, tags) {
+	if !s.Mem.PeekBlock(tb, tags) {
 		return 0, false
 	}
 	if !s.Gran.WholeByte() {
